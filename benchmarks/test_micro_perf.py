@@ -6,19 +6,22 @@ throughput baseline for the simulator itself.  Unlike the table
 benchmarks, these run multiple rounds and report real statistics.
 
 Every test files its per-round throughput samples into the ``micro_perf``
-perf profile; the two BUF access-loop metrics are gated by ``repro-accfc
-perf check`` (see repro/perf/families.py).
+perf profile; the two BUF access-loop metrics, the event engine and the
+whole simulated machine (``system_accesses_per_sec``) are gated by
+``repro-accfc perf check`` (see repro/perf/families.py).
 """
 
 import pytest
 
-from conftest import ops_per_sec
+from conftest import LOWER, PERF_SMOKE, ops_per_sec
 
 from repro.analysis.stackdist import stack_distances
 from repro.core.acm import ACM
 from repro.core.buffercache import BufferCache
 from repro.core.allocation import GLOBAL_LRU, LRU_SP
 from repro.core.lrulist import LRUList
+from repro.harness.runner import app
+from repro.kernel.system import MachineConfig, System
 from repro.sim.engine import Engine
 from repro.trace.events import AccessRecord
 from repro.trace.driver import replay
@@ -46,6 +49,38 @@ def test_engine_event_throughput(benchmark, perf_profile):
 
     assert benchmark(run) == N
     _throughput(perf_profile, benchmark, "engine_events_per_sec")
+
+
+def test_system_access_throughput(benchmark, perf_profile):
+    """Block accesses per second through the whole simulated machine:
+    ``System.run`` on the Fig. 5 ``cs2+gli`` mix under LRU-SP with smart
+    managers (engine, CPU, disks, bus, filesystem, BUF/ACM — the shell every
+    figure and table runs through).  Building the machine is not timed."""
+    params = {"mix": "cs2+gli", "cache_mb": 6.4, "policy": LRU_SP.name}
+    machines = []
+
+    def build():
+        system = System(MachineConfig(cache_mb=params["cache_mb"], policy=LRU_SP))
+        for kind in params["mix"].split("+"):
+            app(kind, smart=True).build().spawn(system)
+        machines.append(system)
+        return (system,), {}
+
+    benchmark.pedantic(System.run, setup=build, rounds=3 if PERF_SMOKE else 5)
+    system = machines[-1]
+    accesses = system.cache.stats.accesses
+    assert accesses == 21_498 and system.cache.stats.hits == 20_285
+    samples = ops_per_sec(benchmark, accesses)
+    perf_profile.metric(
+        "system_accesses_per_sec", max(samples), "ops/s", samples=samples, params=params
+    )
+    perf_profile.metric(
+        "system_events_per_access",
+        system.engine.events_fired / accesses,
+        "events/access",
+        LOWER,
+        params=params,
+    )
 
 
 def test_lrulist_churn(benchmark, perf_profile):

@@ -285,6 +285,9 @@ class ACM:
         #: manager misbehaviour annotate the active trace span.
         self.telemetry: Optional[Any] = None
         self.revocations = 0
+        #: kernel/user crossings made so far; only upcall-based subclasses
+        #: (repro.core.upcall.UpcallACM) ever count any.
+        self.upcalls = 0
         # Concurrently shared files (the paper's future-work item): a file
         # may have a *designated* manager; other processes' accesses then
         # do not bounce block ownership around.

@@ -134,7 +134,6 @@ class UpcallACM(ACM):
     ) -> None:
         super().__init__(limits=limits, revocation=revocation)
         self._handlers: Dict[int, UpcallHandler] = {}
-        self.upcalls = 0
         self.handler_failures = 0
 
     def register_handler(self, pid: int, handler: UpcallHandler) -> None:

@@ -11,9 +11,10 @@ A drive may carry a :class:`~repro.faults.injector.FaultInjector`; each
 request then gets a fate decided at service start — ``stall`` lengthens the
 positioning phase, ``error``/``torn`` complete the service *without* the
 data arriving (or surviving), reported to the submitter through the
-request's ``on_error`` hook instead of ``on_done``.  The drive itself never
-retries: recovery policy (requeue a dirty block, resubmit a demand read,
-give up) belongs to the layer that submitted the request.
+request's ``on_error`` hook instead of ``on_done``.  Both hooks are plain
+callables plus the request's ``args`` tuple — no closure per request.  The
+drive itself never retries: recovery policy (requeue a dirty block, resubmit
+a demand read, give up) belongs to the layer that submitted the request.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ class DiskRequest:
         "nblocks",
         "write",
         "on_done",
+        "args",
         "submit_time",
         "pid",
         "on_error",
@@ -50,10 +52,11 @@ class DiskRequest:
         lba: int,
         nblocks: int,
         write: bool,
-        on_done: Optional[Callable[[], Any]],
+        on_done: Optional[Callable[..., Any]],
         pid: int = -1,
-        on_error: Optional[Callable[["DiskRequest", Any], Any]] = None,
+        on_error: Optional[Callable[..., Any]] = None,
         attempt: int = 1,
+        args: tuple = (),
     ) -> None:
         if lba < 0:
             raise ValueError(f"negative LBA {lba!r}")
@@ -64,11 +67,16 @@ class DiskRequest:
         self.lba = lba
         self.nblocks = nblocks
         self.write = write
+        #: called as ``on_done(*args)`` when the transfer completes
         self.on_done = on_done
+        #: one tuple for both hooks: ``on_error`` must accept whatever
+        #: ``on_done`` takes, after its own three leading arguments
+        self.args = args
         self.submit_time = 0.0
         self.pid = pid
-        #: called as ``on_error(request, fault)`` when an injected fault
-        #: consumes this service attempt (None = the error is only counted)
+        #: called as ``on_error(drive, request, fault, *args)`` when an
+        #: injected fault consumes this service attempt (None = the error
+        #: is only counted)
         self.on_error = on_error
         #: 1 for the first submission; resubmissions bump it so rate-based
         #: faults stop firing past the plan's retry budget
@@ -159,24 +167,26 @@ class DiskDrive:
         self,
         lba: int,
         nblocks: int,
-        on_done: Callable[[], Any],
+        on_done: Callable[..., Any],
         pid: int = -1,
-        on_error: Optional[Callable[[DiskRequest, Any], Any]] = None,
+        on_error: Optional[Callable[..., Any]] = None,
+        args: tuple = (),
     ) -> None:
         """Convenience wrapper for a read request."""
-        self.submit(DiskRequest(lba, nblocks, write=False, on_done=on_done, pid=pid, on_error=on_error))
+        self.submit(DiskRequest(lba, nblocks, False, on_done, pid, on_error, args=args))
 
     def write(
         self,
         lba: int,
         nblocks: int,
-        on_done: Optional[Callable[[], Any]] = None,
+        on_done: Optional[Callable[..., Any]] = None,
         pid: int = -1,
-        on_error: Optional[Callable[[DiskRequest, Any], Any]] = None,
+        on_error: Optional[Callable[..., Any]] = None,
+        args: tuple = (),
     ) -> None:
         """Convenience wrapper for a write request (``on_done`` optional:
         write-backs from the update daemon have no waiting process)."""
-        self.submit(DiskRequest(lba, nblocks, write=True, on_done=on_done, pid=pid, on_error=on_error))
+        self.submit(DiskRequest(lba, nblocks, True, on_done, pid, on_error, args=args))
 
     def retry(self, req: DiskRequest) -> None:
         """Resubmit a faulted request as its next attempt.
@@ -192,6 +202,7 @@ class DiskDrive:
             pid=req.pid,
             on_error=req.on_error,
             attempt=req.attempt + 1,
+            args=req.args,
         )
         again.trace_ctx = req.trace_ctx
         self.submit(again)
@@ -241,12 +252,13 @@ class DiskDrive:
         xfer = self.model.transfer_time(req.nblocks)
         if self.bus is not None:
             # The drive stays busy while waiting for and using the bus.
-            self.bus.request(xfer, lambda: self._complete(req, xfer))
+            self.bus.request(xfer, self._complete, req, xfer)
         else:
             self.engine.after(xfer, self._complete, req, xfer)
 
     def _complete(self, req: DiskRequest, xfer: float) -> None:
-        self.stats.busy_time += xfer
+        stats = self.stats
+        stats.busy_time += xfer
         self._head_lba = req.lba + req.nblocks
         fault = req.fault
         req.service += xfer
@@ -260,18 +272,18 @@ class DiskDrive:
         if fault is not None and fault.kind in ("error", "torn"):
             # The attempt consumed drive time but the data did not make it;
             # recovery (retry, requeue, give up) is the submitter's call.
-            self.stats.faults += 1
+            stats.faults += 1
             if req.on_error is not None:
-                req.on_error(req, fault)
+                req.on_error(self, req, fault, *req.args)
         else:
             if req.write:
-                self.stats.writes += 1
-                self.stats.blocks_written += req.nblocks
+                stats.writes += 1
+                stats.blocks_written += req.nblocks
             else:
-                self.stats.reads += 1
-                self.stats.blocks_read += req.nblocks
+                stats.reads += 1
+                stats.blocks_read += req.nblocks
             if req.on_done is not None:
-                req.on_done()
+                req.on_done(*req.args)
         if self._queue:
             self._start_next()
         else:

@@ -28,6 +28,8 @@ class ServiceTimeModel:
 
     def __init__(self, params: DiskParams) -> None:
         self.params = params
+        self._seq_gap = params.seq_gap_ms / 1e3
+        self._rotation = params.avg_rot_ms / 1e3
         mean_distance = max(1.0, params.cylinders / 3.0)
         span = math.sqrt(mean_distance) - 1.0
         if span <= 0:
@@ -46,7 +48,7 @@ class ServiceTimeModel:
 
     def rotational_latency(self) -> float:
         """Expected rotational delay (half a revolution), seconds."""
-        return self.params.avg_rot_ms / 1e3
+        return self._rotation
 
     def transfer_time(self, nblocks: int) -> float:
         """Seconds on the bus/media for ``nblocks`` blocks."""
@@ -59,14 +61,14 @@ class ServiceTimeModel:
         its last block); ``target_lba`` is the first block of this request.
         """
         if target_lba == head_lba:
-            return self.params.seq_gap_ms / 1e3
-        from_cyl = self.params.cylinder_of(max(0, head_lba))
-        to_cyl = self.params.cylinder_of(target_lba)
-        seek = self.seek_time(abs(to_cyl - from_cyl))
+            return self._seq_gap
+        cylinder_of = self.params.cylinder_of
+        from_cyl = cylinder_of(max(0, head_lba))
+        to_cyl = cylinder_of(target_lba)
         if from_cyl == to_cyl:
             # Same cylinder, non-contiguous: pay a partial rotation.
-            return 0.5 * self.rotational_latency()
-        return seek + self.rotational_latency()
+            return 0.5 * self._rotation
+        return self.seek_time(abs(to_cyl - from_cyl)) + self._rotation
 
     def service_time(self, head_lba: int, target_lba: int, nblocks: int = 1) -> float:
         """Total service time (positioning + transfer), seconds."""

@@ -7,7 +7,7 @@ only shapes the seek-distance curve, not the averages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 BLOCK_SIZE = 8192
 """The Ultrix buffer-cache block size the whole system uses (bytes)."""
@@ -28,6 +28,9 @@ class DiskParams:
         seq_gap_ms: fixed per-request overhead when the request continues
             exactly where the previous one ended (head switch / controller
             turnaround) — sequential streams pay this instead of seek+rotate.
+        total_blocks: capacity in 8 KB blocks (derived).
+        blocks_per_cylinder: blocks per cylinder, uniform zoning assumed
+            (derived).
     """
 
     name: str
@@ -38,6 +41,8 @@ class DiskParams:
     transfer_mb_s: float
     cylinders: int
     seq_gap_ms: float = 0.5
+    total_blocks: int = field(init=False, repr=False, compare=False)
+    blocks_per_cylinder: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.capacity_mb <= 0:
@@ -48,16 +53,10 @@ class DiskParams:
             raise ValueError("transfer rate must be positive")
         if self.cylinders < 2:
             raise ValueError("need at least two cylinders")
-
-    @property
-    def total_blocks(self) -> int:
-        """Capacity in 8 KB blocks."""
-        return int(self.capacity_mb * 1024 * 1024) // BLOCK_SIZE
-
-    @property
-    def blocks_per_cylinder(self) -> int:
-        """Blocks per cylinder (uniform zoning assumed)."""
-        return max(1, self.total_blocks // self.cylinders)
+        # Derived once: cylinder_of() runs twice per positioning decision.
+        total = int(self.capacity_mb * 1024 * 1024) // BLOCK_SIZE
+        object.__setattr__(self, "total_blocks", total)
+        object.__setattr__(self, "blocks_per_cylinder", max(1, total // self.cylinders))
 
     def cylinder_of(self, lba: int) -> int:
         """Cylinder holding logical block ``lba``."""

@@ -13,6 +13,7 @@ keys blocks by ``(file_id, blockno)`` just as Ultrix keyed buffers by
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -35,6 +36,10 @@ class Extent:
             raise ValueError(f"bad extent ({self.start_lba}, {self.nblocks})")
 
 
+#: the extent index of every file with no or one extent (never mutated)
+_ONE_EXTENT = [0]
+
+
 @dataclass
 class File:
     """A file: identity, placement and size (in blocks)."""
@@ -44,25 +49,46 @@ class File:
     disk: str
     nblocks: int = 0
     extents: List[Extent] = field(default_factory=list)
+    _starts: Optional[List[int]] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size_bytes(self) -> int:
         return self.nblocks * BLOCK_SIZE
 
+    def _index(self) -> List[int]:
+        """First logical block of each extent, extended lazily.
+
+        A file with at most one extent shares one constant
+        index and stores none.  Otherwise the index is valid while
+        ``extents`` is only appended to or its last extent grows, which is
+        all :class:`SimFilesystem` does.  A list found shorter than the
+        index rebuilds it; resizing or replacing extents in place is not
+        supported.
+        """
+        extents = self.extents
+        if len(extents) < 2:
+            return _ONE_EXTENT
+        starts = self._starts
+        if starts is None or len(starts) > len(extents):
+            starts = self._starts = [0]
+        while len(starts) < len(extents):
+            starts.append(starts[-1] + extents[len(starts) - 1].nblocks)
+        return starts
+
     def capacity(self) -> int:
         """Blocks covered by allocated extents."""
-        return sum(e.nblocks for e in self.extents)
+        return self._index()[-1] + self.extents[-1].nblocks if self.extents else 0
 
     def lba_of(self, blockno: int) -> int:
         """Disk address of logical block ``blockno``."""
-        if blockno < 0 or blockno >= self.capacity():
-            raise FsError(f"{self.path}: block {blockno} outside allocated {self.capacity()} blocks")
-        remaining = blockno
-        for extent in self.extents:
-            if remaining < extent.nblocks:
-                return extent.start_lba + remaining
-            remaining -= extent.nblocks
-        raise AssertionError("unreachable: capacity checked above")
+        starts, extents = self._index(), self.extents
+        i = bisect_right(starts, blockno) - 1
+        if i >= 0 and extents:
+            extent = extents[i]
+            offset = blockno - starts[i]
+            if offset < extent.nblocks:
+                return extent.start_lba + offset
+        raise FsError(f"{self.path}: block {blockno} outside allocated {self.capacity()} blocks")
 
 
 class SimFilesystem:

@@ -115,9 +115,9 @@ class UpdateDaemon:
                 drive.write(
                     block.lba,
                     1,
-                    on_done=None,
                     pid=block.owner_pid,
-                    on_error=lambda req, fault, b=block, d=drive: self._writeback_failed(d, req, fault, b),
+                    on_error=self._writeback_failed,
+                    args=(block,),
                 )
                 if self.on_flush is not None:
                     self.on_flush(block)

@@ -173,6 +173,13 @@ class System:
         telemetry: Optional[Any] = None,
     ) -> None:
         self.config = config or MachineConfig()
+        # Per-access constants, read off the (frozen) config once.
+        self._hit_ms = self.config.hit_cpu_ms
+        self._miss_ms = self.config.miss_cpu_ms
+        self._syscall_ms = self.config.syscall_cpu_ms
+        self._upcall_ms = self.config.upcall_cpu_ms
+        self._prefetch_cpu_s = self.config.miss_cpu_ms / 1e3
+        self._readahead = self.config.readahead
         self.engine = Engine()
         self.cpu = PreemptiveCPU(self.engine, "cpu")
         self.bus = FCFSResource(self.engine, "scsi-bus") if self.config.shared_bus else None
@@ -323,39 +330,35 @@ class System:
     # -- process stepping ---------------------------------------------------
 
     def _step(self, proc: SimProcess, send_value: Any = None) -> None:
-        op = proc.next_op(send_value)
-        if op is None:
+        try:
+            op = proc.next_op(send_value)
+        except StopIteration:
             self._finish(proc)
             return
-        if isinstance(op, Compute):
-            proc.stats.cpu_time += op.seconds
-            self.cpu.request(op.seconds, lambda: self._step(proc))
-        elif isinstance(op, BlockRead):
-            self._do_read(proc, op)
-        elif isinstance(op, BlockWrite):
-            self._do_write(proc, op)
-        elif isinstance(op, Control):
-            self._do_control(proc, op)
-        elif isinstance(op, CreateFile):
-            size = max(0, op.size_hint)
-            self.fs.create(op.path, size_blocks=size, disk=op.disk)
-            self._kernel_cpu(proc, self.config.syscall_cpu_ms)
-        elif isinstance(op, DeleteFile):
-            self._do_delete(proc, op)
-        elif isinstance(op, Fork):
-            self.spawn(op.name, op.program)
-            self._kernel_cpu(proc, self.config.syscall_cpu_ms)
-        else:
+        handler = self._HANDLERS.get(type(op))
+        if handler is None:
             raise TypeError(f"process {proc.name} yielded unknown op {op!r}")
+        handler(self, proc, op)
+
+    def _do_compute(self, proc: SimProcess, op: Compute) -> None:
+        proc.stats.cpu_time += op.seconds
+        self.cpu.request(op.seconds, self._step, proc)
+
+    def _do_create(self, proc: SimProcess, op: CreateFile) -> None:
+        self.fs.create(op.path, size_blocks=max(0, op.size_hint), disk=op.disk)
+        self._kernel_cpu(proc, self._syscall_ms)
+
+    def _do_fork(self, proc: SimProcess, op: Fork) -> None:
+        self.spawn(op.name, op.program)
+        self._kernel_cpu(proc, self._syscall_ms)
 
     def _kernel_cpu(self, proc: SimProcess, ms: float, send_value: Any = None) -> None:
         # Outstanding upcall time (kernel/user crossings waiting on a
         # user-level manager's answer) rides on the process's next slice.
-        debt = getattr(proc, "_upcall_debt_ms", 0.0)
-        if debt:
-            ms += debt
-            proc._upcall_debt_ms = 0.0  # type: ignore[attr-defined]
-        self.cpu.request(ms / 1e3, lambda: self._step(proc, send_value))
+        if proc.upcall_debt_ms:
+            ms += proc.upcall_debt_ms
+            proc.upcall_debt_ms = 0.0
+        self.cpu.request(ms / 1e3, self._step, proc, send_value)
 
     def _sample_occupancy(self) -> None:
         self.occupancy_samples.append((self.engine.now, self.cache.occupancy()))
@@ -376,11 +379,12 @@ class System:
 
     def _do_read(self, proc: SimProcess, op: BlockRead) -> None:
         f = self.fs.lookup(op.path)
-        if op.blockno >= f.nblocks:
-            raise FsError(f"{proc.name}: read past EOF: {op.path} block {op.blockno} of {f.nblocks}")
-        lba = f.lba_of(op.blockno)
+        blockno = op.blockno
+        if blockno >= f.nblocks:
+            raise FsError(f"{proc.name}: read past EOF: {op.path} block {blockno} of {f.nblocks}")
+        lba = f.lba_of(blockno)
         if self.trace_recorder is not None:
-            self.trace_recorder.record_access(proc.pid, op.path, op.blockno, False, False)
+            self.trace_recorder.record_access(proc.pid, op.path, blockno, False, False)
         tel = self.telemetry
         span = None
         if tel is not None and tel.tracer is not None:
@@ -389,16 +393,13 @@ class System:
                 layer="kernel",
                 pid=proc.pid,
                 path=op.path,
-                blockno=op.blockno,
+                blockno=blockno,
             )
         try:
-            before = getattr(self.acm, "upcalls", 0)
-            outcome = self.cache.access(
-                proc.pid, f.file_id, op.blockno, lba, f.disk, write=False
-            )
-            self._charge_upcalls(proc, before)
-            self._account_access(proc, outcome)
-            self._maybe_readahead(proc, f, op.blockno)
+            before = self.acm.upcalls
+            outcome = self.cache.access(proc.pid, f.file_id, blockno, lba, f.disk, write=False)
+            self._account_access(proc, outcome, before)
+            self._maybe_readahead(proc, f, blockno)
             self._continue_access(proc, outcome, f.disk)
         finally:
             if span is not None:
@@ -413,12 +414,10 @@ class System:
         time this hides nearly the whole disk latency — which is why the
         paper's dinero run is CPU-bound despite streaming 73 MB.
         """
-        last = getattr(proc, "_last_read", None)
-        if last is None:
-            last = proc._last_read = {}  # type: ignore[attr-defined]
+        last = proc.last_read
         sequential = last.get(f.file_id) == blockno - 1
         last[f.file_id] = blockno
-        if not (self.config.readahead and sequential):
+        if not (sequential and self._readahead):
             return
         nxt = blockno + 1
         if nxt >= f.nblocks:
@@ -427,14 +426,13 @@ class System:
         if block is None:
             return
         proc.stats.disk_reads += 1
-
-        drive = self.drives[f.disk]
-        drive.read(
+        self.drives[f.disk].read(
             block.lba,
             1,
-            on_done=lambda: self._prefetch_done(block),
+            self._prefetch_done,
             pid=proc.pid,
-            on_error=lambda req, fault, d=drive, b=block: self._prefetch_failed(d, req, fault, b),
+            on_error=self._prefetch_failed,
+            args=(block,),
         )
         if evicted is not None and evicted.dirty:
             self._charge_write(evicted.owner_pid)
@@ -443,9 +441,9 @@ class System:
     def _prefetch_done(self, block) -> None:
         # The driver/interrupt/buffer work of the I/O still costs CPU even
         # though no process waits for it; it competes with app compute.
-        self.cpu.request(self.config.miss_cpu_ms / 1e3, _noop)
+        self.cpu.request(self._prefetch_cpu_s, _noop)
         for waiter in self.cache.loaded(block):
-            self._resume_from_io(waiter, self.config.hit_cpu_ms)
+            self._resume_from_io(waiter, self._hit_ms)
 
     def _do_write(self, proc: SimProcess, op: BlockWrite) -> None:
         f = self.fs.lookup(op.path)
@@ -463,64 +461,63 @@ class System:
                 blockno=op.blockno,
             )
         try:
-            before = getattr(self.acm, "upcalls", 0)
+            before = self.acm.upcalls
             outcome = self.cache.access(
                 proc.pid, f.file_id, op.blockno, lba, f.disk, write=True, whole=op.whole
             )
-            self._charge_upcalls(proc, before)
-            self._account_access(proc, outcome)
+            self._account_access(proc, outcome, before)
             self._continue_access(proc, outcome, f.disk)
         finally:
             if span is not None:
                 tel.tracer.finish(span)
 
-    def _charge_upcalls(self, proc: SimProcess, upcalls_before: int) -> None:
-        """Upcall-based managers pay per kernel/user crossing — the cost
-        the paper's directive interface was designed to avoid.  The time
-        lands on the faulting process's critical path: the kernel cannot
-        complete the access until the user-level manager has answered."""
-        delta = getattr(self.acm, "upcalls", 0) - upcalls_before
-        if delta > 0 and self.config.upcall_cpu_ms > 0:
-            cost_ms = delta * self.config.upcall_cpu_ms
-            proc.stats.cpu_time += cost_ms / 1e3
-            proc._upcall_debt_ms = getattr(proc, "_upcall_debt_ms", 0.0) + cost_ms  # type: ignore[attr-defined]
-
-    def _account_access(self, proc: SimProcess, outcome: AccessOutcome) -> None:
-        proc.stats.accesses += 1
+    def _account_access(self, proc: SimProcess, outcome: AccessOutcome, upcalls_before: int) -> None:
+        """Per-process hit/miss counts, and what the access cost in upcalls."""
+        stats = proc.stats
+        stats.accesses += 1
         if outcome.hit:
-            proc.stats.hits += 1
+            stats.hits += 1
         else:
-            proc.stats.misses += 1
+            stats.misses += 1
+        # Upcall-based managers pay per kernel/user crossing — the cost the
+        # paper's directive interface was designed to avoid.  The time lands
+        # on the faulting process's critical path: the kernel cannot
+        # complete the access until the user-level manager has answered.
+        delta = self.acm.upcalls - upcalls_before
+        if delta > 0 and self._upcall_ms > 0:
+            cost_ms = delta * self._upcall_ms
+            stats.cpu_time += cost_ms / 1e3
+            proc.upcall_debt_ms += cost_ms
 
     def _continue_access(self, proc: SimProcess, outcome: AccessOutcome, disk: str) -> None:
-        block = outcome.block
-        if outcome.hit and not outcome.must_wait:
-            self._kernel_cpu(proc, self.config.hit_cpu_ms)
-            return
         if outcome.must_wait:
             # Another process's demand read is in flight; park until loaded.
             proc.state = ProcessState.BLOCKED
-            proc._wait_start = self.engine.now  # type: ignore[attr-defined]
-            block.waiters.append(proc)
+            proc.wait_start = self.engine.now
+            outcome.block.waiters.append(proc)
+            return
+        if outcome.hit:
+            self._kernel_cpu(proc, self._hit_ms)
             return
         # Miss.  The demand read goes out first; a dirty victim is pushed
         # out *asynchronously* behind it (as getnewbuf does — a reader never
         # waits for someone else's delayed write to complete).
         proc.state = ProcessState.BLOCKED
-        proc._wait_start = self.engine.now  # type: ignore[attr-defined]
+        proc.wait_start = self.engine.now
         if outcome.read_needed:
+            block = outcome.block
             proc.stats.disk_reads += 1
-            drive = self.drives[disk]
-            drive.read(
+            self.drives[disk].read(
                 block.lba,
                 1,
-                on_done=lambda: self._read_done(proc, block),
+                self._read_done,
                 pid=proc.pid,
-                on_error=lambda req, fault, d=drive: self._demand_read_failed(d, req, fault),
+                on_error=self._demand_read_failed,
+                args=(proc, block),
             )
         else:
             # Whole-block overwrite: the frame is usable immediately.
-            self._resume_from_io(proc, self.config.hit_cpu_ms)
+            self._resume_from_io(proc, self._hit_ms)
         if outcome.writeback:
             victim = outcome.evicted
             self._charge_write(victim.owner_pid)
@@ -528,9 +525,9 @@ class System:
 
     def _read_done(self, proc: SimProcess, block) -> None:
         waiters = self.cache.loaded(block)
-        self._resume_from_io(proc, self.config.miss_cpu_ms + self.config.hit_cpu_ms)
+        self._resume_from_io(proc, self._miss_ms + self._hit_ms)
         for waiter in waiters:
-            self._resume_from_io(waiter, self.config.hit_cpu_ms)
+            self._resume_from_io(waiter, self._hit_ms)
 
     # -- injected-fault recovery ---------------------------------------------
 
@@ -548,13 +545,8 @@ class System:
 
     def _async_write(self, victim) -> None:
         """A writeback no process waits on (eviction push-out)."""
-        drive = self.drives[victim.disk]
-        drive.write(
-            victim.lba,
-            1,
-            on_done=None,
-            pid=victim.owner_pid,
-            on_error=lambda req, fault, d=drive: self._async_write_failed(d, req, fault),
+        self.drives[victim.disk].write(
+            victim.lba, 1, pid=victim.owner_pid, on_error=self._async_write_failed
         )
 
     def _async_write_failed(self, drive: DiskDrive, req: DiskRequest, fault: Any) -> None:
@@ -563,7 +555,7 @@ class System:
             # cache, so after the budget its data is genuinely lost.
             self.lost_writes += 1
 
-    def _demand_read_failed(self, drive: DiskDrive, req: DiskRequest, fault: Any) -> None:
+    def _demand_read_failed(self, drive: DiskDrive, req: DiskRequest, fault: Any, proc: SimProcess, block) -> None:
         if not self._retry_io(drive, req):
             # A process is blocked on this data and a scheduled fault makes
             # the sector permanently unreadable: fail the run in a defined
@@ -579,13 +571,12 @@ class System:
         if self.injector is not None:
             self.injector.note_aborted_read()
         for waiter in self.cache.abort_load(block):
-            self._resume_from_io(waiter, self.config.hit_cpu_ms)
+            self._resume_from_io(waiter, self._hit_ms)
 
     def _resume_from_io(self, proc: SimProcess, cpu_ms: float) -> None:
-        start = getattr(proc, "_wait_start", None)
-        if start is not None:
-            proc.stats.io_wait_time += self.engine.now - start
-            proc._wait_start = None  # type: ignore[attr-defined]
+        if proc.wait_start is not None:
+            proc.stats.io_wait_time += self.engine.now - proc.wait_start
+            proc.wait_start = None
         proc.state = ProcessState.RUNNING
         self._kernel_cpu(proc, cpu_ms)
 
@@ -606,7 +597,7 @@ class System:
             self.trace_recorder.record_directive(proc.pid, op_name, op.args)
         result = fbehavior(self.acm, self.fs, proc.pid, op.op, tuple(op.args))
         proc.manager = self.acm.managers.get(proc.pid)
-        self._kernel_cpu(proc, self.config.syscall_cpu_ms, send_value=result)
+        self._kernel_cpu(proc, self._syscall_ms, send_value=result)
 
     def _do_delete(self, proc: SimProcess, op: DeleteFile) -> None:
         if self.trace_recorder is not None:
@@ -617,10 +608,21 @@ class System:
             # An in-flight read of a dying block still completes; wake any
             # waiters so no process is stranded.
             for waiter in block.waiters:
-                self._resume_from_io(waiter, self.config.hit_cpu_ms)
+                self._resume_from_io(waiter, self._hit_ms)
             block.waiters = []
         self.fs.unlink(op.path)
-        self._kernel_cpu(proc, self.config.syscall_cpu_ms)
+        self._kernel_cpu(proc, self._syscall_ms)
+
+    #: what :meth:`_step` does with each primitive a program can yield
+    _HANDLERS = {
+        Compute: _do_compute,
+        BlockRead: _do_read,
+        BlockWrite: _do_write,
+        Control: _do_control,
+        CreateFile: _do_create,
+        DeleteFile: _do_delete,
+        Fork: _do_fork,
+    }
 
     # -- results ----------------------------------------------------------
 

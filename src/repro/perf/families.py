@@ -8,7 +8,10 @@ ROADMAP item 4 — the three trajectories a hot-path change can silently
 regress:
 
 * ``micro_perf`` — the BUF access hot loop (global-LRU and the managed
-  LRU-SP worst case), in ops/s via pytest-benchmark's min-of-rounds;
+  LRU-SP worst case), the event engine's schedule-and-fire cycle, and
+  block accesses/s through the whole simulated machine (``System.run`` on
+  the ``cs2+gli`` LRU-SP mix), in ops/s via pytest-benchmark's
+  min-of-rounds;
 * ``server_throughput`` — requests/s through the full daemon stack over
   the in-process transport;
 * ``cluster_scaling`` — absolute 1-shard throughput plus the 1→2 shard
@@ -45,6 +48,8 @@ GATED_FAMILIES: Dict[str, FamilyCheck] = {
         metrics=(
             "buf_access_global_lru_ops_per_sec",
             "buf_access_lru_sp_ops_per_sec",
+            "engine_events_per_sec",
+            "system_accesses_per_sec",
         ),
     ),
     "server_throughput": FamilyCheck(

@@ -9,8 +9,8 @@ whole system lives in seeded workload generators.
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, List, Optional
+from heapq import heappop as _heappop, heappush as _heappush
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class Event:
@@ -20,11 +20,10 @@ class Event:
     skips it when it reaches the top of the heap.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+    __slots__ = ("time", "fn", "args", "cancelled")
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple):
+    def __init__(self, time: float, fn: Callable[..., Any], args: tuple):
         self.time = time
-        self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
@@ -32,11 +31,6 @@ class Event:
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once."""
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
@@ -52,18 +46,20 @@ class Engine:
         eng.after(1.5, callback, arg)
         eng.run()           # drains every event
         print(eng.now)      # 1.5
+
+    Heap entries are ``(time, seq, event)`` tuples: ``seq`` is unique, so
+    ``heapq`` orders them by ``(time, seq)`` entirely in C and never
+    compares two :class:`Event` objects.
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
-        self._heap: List[Event] = []
+        #: current virtual time in seconds; a plain attribute because every
+        #: layer reads it several times per block access — only the engine
+        #: may assign it
+        self.now = 0.0
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._events_fired = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def events_fired(self) -> int:
@@ -80,30 +76,28 @@ class Engine:
 
         Scheduling in the past is an error: the clock never runs backwards.
         """
-        if time < self._now:
-            raise ValueError(f"cannot schedule at {time!r}; clock is already at {self._now!r}")
-        self._seq += 1
-        ev = Event(time, self._seq, fn, args)
-        heapq.heappush(self._heap, ev)
+        if time < self.now:
+            raise ValueError(f"cannot schedule at {time!r}; clock is already at {self.now!r}")
+        self._seq = seq = self._seq + 1
+        ev = Event(time, fn, args)
+        _heappush(self._heap, (time, seq, ev))
         return ev
 
     def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        return self.at(self._now + delay, fn, *args)
+        time = self.now + delay
+        self._seq = seq = self._seq + 1
+        ev = Event(time, fn, args)
+        _heappush(self._heap, (time, seq, ev))
+        return ev
 
     def step(self) -> bool:
         """Fire the earliest pending event.  Returns False if none remain."""
-        while self._heap:
-            ev = heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
-            self._now = ev.time
-            self._events_fired += 1
-            ev.fn(*ev.args)
-            return True
-        return False
+        before = self._events_fired
+        self.run(max_events=1)
+        return self._events_fired != before
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run until the heap drains, the clock passes ``until``, or
@@ -112,13 +106,32 @@ class Engine:
         ``max_events`` exists as a runaway guard for tests; production runs
         normally drain the heap.
         """
+        heap = self._heap
+        if until is None and max_events is None:
+            while heap:
+                time, _, ev = _heappop(heap)
+                if ev.cancelled:
+                    continue
+                self.now = time
+                self._events_fired += 1
+                ev.fn(*ev.args)
+            return self.now
         fired = 0
-        while self._heap:
-            if until is not None and self._heap[0].time > until:
-                self._now = until
+        while heap:
+            time, _, ev = heap[0]
+            if ev.cancelled:
+                # Discard dead heads first, so neither bound below is
+                # judged against an event that will never fire.
+                _heappop(heap)
+                continue
+            if until is not None and time > until:
+                self.now = until
                 break
             if max_events is not None and fired >= max_events:
                 break
-            if self.step():
-                fired += 1
-        return self._now
+            _heappop(heap)
+            self.now = time
+            self._events_fired += 1
+            fired += 1
+            ev.fn(*ev.args)
+        return self.now

@@ -10,7 +10,7 @@ completes.
 from __future__ import annotations
 
 import enum
-from typing import Any, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional
 
 
 class ProcessState(enum.Enum):
@@ -95,6 +95,19 @@ class SimProcess:
         self.stats = ProcessStats()
         # Set by the kernel when the process issues its first fbehavior call.
         self.manager: Optional[Any] = None
+        # Kernel-private bookkeeping (repro.kernel.System): upcall CPU time
+        # owed on the next slice, last block read per file id (read-ahead
+        # detection), and when the current I/O wait began (None = not waiting).
+        self.upcall_debt_ms = 0.0
+        self.last_read: Dict[int, int] = {}
+        self.wait_start: Optional[float] = None
+        #: ``next_op(value)`` resumes the program — ``value`` becomes the
+        #: result of its pending ``yield``, which is how ``get_priority``/
+        #: ``get_policy`` directives answer the application — and returns the
+        #: next op; StopIteration means the process exited.  Plain iterators
+        #: (no directives needing answers) also work.
+        send = getattr(program, "send", None)
+        self.next_op = send if send is not None else (lambda _value: next(program))
 
     @property
     def finished(self) -> bool:
@@ -104,22 +117,6 @@ class SimProcess:
         """Wall-clock (virtual) time the process has been alive."""
         end = self.finish_time if self.finish_time is not None else now
         return end - self.start_time
-
-    def next_op(self, value: Any = None) -> Optional[Any]:
-        """Advance the program; returns the next op or None at exit.
-
-        ``value`` becomes the result of the program's pending ``yield`` —
-        this is how ``get_priority``/``get_policy`` directives return their
-        answers to the application.
-        """
-        try:
-            send = getattr(self.program, "send", None)
-            if send is not None:
-                return send(value)
-            # Plain iterators (no directives needing answers) also work.
-            return next(self.program)
-        except StopIteration:
-            return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimProcess pid={self.pid} {self.name} {self.state.value}>"

@@ -21,15 +21,15 @@ from repro.sim.engine import Engine
 class FCFSResource:
     """A single server with a FIFO queue.
 
-    Requests are ``(service_time, on_complete)`` pairs; ``on_complete`` fires
-    when the request finishes service.  Utilisation statistics are tracked so
+    A request is ``(service_time, fn, *args)``; ``fn(*args)`` fires when the
+    request finishes service.  Utilisation statistics are tracked so
     experiments can report device busy time.
     """
 
     def __init__(self, engine: Engine, name: str) -> None:
         self.engine = engine
         self.name = name
-        self._queue: Deque[Tuple[float, Callable[[], Any]]] = deque()
+        self._queue: Deque[Tuple[float, Callable[..., Any], tuple]] = deque()
         self._busy = False
         self.busy_time = 0.0
         self.completed = 0
@@ -44,26 +44,26 @@ class FCFSResource:
         """Requests waiting (not including the one in service)."""
         return len(self._queue)
 
-    def request(self, service_time: float, on_complete: Callable[[], Any]) -> None:
+    def request(self, service_time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Enqueue a request for ``service_time`` seconds of service."""
         if service_time < 0:
             raise ValueError(f"negative service time {service_time!r}")
-        self._queue.append((service_time, on_complete))
-        if not self._busy:
-            self._start_next()
+        if self._busy:
+            self._queue.append((service_time, fn, args))
+        else:
+            self._start(service_time, fn, args)
 
-    def _start_next(self) -> None:
-        service_time, on_complete = self._queue.popleft()
+    def _start(self, service_time: float, fn: Callable[..., Any], args: tuple) -> None:
         self._busy = True
         self.busy_time += service_time
-        self.engine.after(service_time, self._finish, on_complete)
+        self.engine.after(service_time, self._finish, fn, args)
 
-    def _finish(self, on_complete: Callable[[], Any]) -> None:
+    def _finish(self, fn: Callable[..., Any], args: tuple) -> None:
         self.completed += 1
-        on_complete()
-        # on_complete may have enqueued more work; serve it if so.
+        fn(*args)
+        # fn may have enqueued more work; serve it if so.
         if self._queue:
-            self._start_next()
+            self._start(*self._queue.popleft())
         else:
             self._busy = False
 
@@ -78,11 +78,12 @@ class FCFSResource:
 
 
 class _CpuJob:
-    __slots__ = ("remaining", "on_complete", "hi", "started_at", "event")
+    __slots__ = ("remaining", "fn", "args", "hi", "started_at", "event")
 
-    def __init__(self, remaining: float, on_complete: Callable[[], Any], hi: bool) -> None:
+    def __init__(self, remaining: float, fn: Callable[..., Any], args: tuple, hi: bool) -> None:
         self.remaining = remaining
-        self.on_complete = on_complete
+        self.fn = fn
+        self.args = args
         self.hi = hi
         self.started_at = 0.0
         self.event = None
@@ -126,11 +127,12 @@ class PreemptiveCPU:
     def queue_length(self) -> int:
         return len(self._hi) + len(self._lo)
 
-    def request(self, service_time: float, on_complete: Callable[[], Any]) -> None:
-        """Enqueue ``service_time`` seconds of CPU work."""
+    def request(self, service_time: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Enqueue ``service_time`` seconds of CPU work; ``fn(*args)`` fires
+        when it has all been served."""
         if service_time < 0:
             raise ValueError(f"negative service time {service_time!r}")
-        job = _CpuJob(service_time, on_complete, hi=service_time <= self.hi_threshold)
+        job = _CpuJob(service_time, fn, args, service_time <= self.hi_threshold)
         if job.hi:
             self._hi.append(job)
             if self._current is not None and not self._current.hi:
@@ -167,7 +169,7 @@ class PreemptiveCPU:
         self.busy_time += job.remaining
         self._current = None
         self.completed += 1
-        job.on_complete()
+        job.fn(*job.args)
         if self._current is None:
             self._dispatch()
 

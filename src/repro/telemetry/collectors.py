@@ -114,7 +114,7 @@ def acm_collector(acm: Any) -> Callable[[MetricsRegistry], None]:
         ).unlabelled.set_total(acm.revocations)
         reg.counter(
             "repro_acm_upcalls_total", "Upcalls issued to user-level handlers."
-        ).unlabelled.set_total(getattr(acm, "upcalls", 0))
+        ).unlabelled.set_total(acm.upcalls)
         pools = reg.gauge(
             "repro_acm_pool_blocks",
             "Blocks per manager priority pool.",

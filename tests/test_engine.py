@@ -119,6 +119,62 @@ class TestRunControl:
         eng.run(max_events=10)
         assert eng.events_fired == 10
 
+    def test_until_is_not_overshot_past_a_cancelled_head(self):
+        """A cancelled event before ``until`` must not license firing the
+        next live one after it (PreemptiveCPU cancels events all the time)."""
+        eng = Engine()
+        fired = []
+        eng.at(1.0, fired.append, "dead").cancel()
+        eng.at(5.0, fired.append, "late")
+        assert eng.run(until=2.0) == 2.0
+        assert fired == []
+        assert eng.run() == 5.0
+        assert fired == ["late"]
+
+    def test_until_with_only_cancelled_events_drains_without_moving_the_clock(self):
+        eng = Engine()
+        eng.at(1.0, lambda: None).cancel()
+        assert eng.run(until=2.0) == 0.0
+        assert eng.pending == 0
+
+    def test_max_events_does_not_count_cancelled_heads(self):
+        eng = Engine()
+        fired = []
+        eng.at(1.0, fired.append, "dead").cancel()
+        eng.at(2.0, fired.append, "a")
+        eng.at(3.0, fired.append, "b")
+        eng.run(max_events=1)
+        assert fired == ["a"]
+        assert eng.now == 2.0
+        assert eng.events_fired == 1
+        eng.run(max_events=0)
+        assert fired == ["a"]
+
+    def test_step_skips_cancelled_events(self):
+        eng = Engine()
+        fired = []
+        eng.at(1.0, fired.append, "dead").cancel()
+        eng.at(2.0, fired.append, "live")
+        assert eng.step() is True
+        assert fired == ["live"]
+        assert eng.step() is False
+
+    def test_same_time_events_scheduled_from_a_callback_keep_schedule_order(self):
+        eng = Engine()
+        order = []
+
+        def first():
+            order.append("first")
+            # Same timestamp as the already-queued "second": both must still
+            # fire in the order they were scheduled, after it.
+            eng.after(0.0, order.append, "third")
+            eng.at(1.0, order.append, "fourth")
+
+        eng.at(1.0, first)
+        eng.at(1.0, order.append, "second")
+        eng.run()
+        assert order == ["first", "second", "third", "fourth"]
+
     def test_step_returns_false_when_empty(self):
         assert Engine().step() is False
 

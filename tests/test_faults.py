@@ -239,6 +239,62 @@ class TestSystemUnderFaults:
         assert result.faults["lost_writes"] == 0
         assert len(system.cache.dirty_blocks()) == 0
 
+    # ``on_done`` and ``on_error`` of one request share its ``args``, so a
+    # submitter whose error hook disagrees with its completion hook fails
+    # only when a fault fires.  The demand read and the syncer's flush are
+    # the tests above; these drive the other two submitters in System.
+
+    @staticmethod
+    def _lba_of(path, nblocks, blockno):
+        probe = System(small_config())
+        probe.add_file(path, nblocks=nblocks, disk="RZ56")
+        return probe.fs.lookup(path).lba_of(blockno)
+
+    @pytest.mark.parametrize("count, retries, aborted", [(1, 1, 0), (-1, 8, 1)])
+    def test_prefetch_fault_retries_then_releases_the_frame(self, count, retries, aborted):
+        # Reading 0 then 1 is sequential, so block 2 is read ahead; the
+        # process then asks for it and parks on the in-flight prefetch.
+        lba = self._lba_of("data", 8, 2)
+        config = small_config(
+            faults=FaultPlan(block_faults=(BlockFault("RZ56", lba, kind="error", count=count, write=False),))
+        )
+        system = System(config)
+        system.add_file("data", nblocks=8, disk="RZ56")
+
+        def prog():
+            for b in range(3):
+                yield BlockRead("data", b)
+
+        system.spawn("p", prog())
+        result = system.run()
+        assert result.faults["disk_retries"] == retries
+        assert result.faults["aborted_reads"] == aborted
+        assert result.proc("p").stats.accesses == 3
+        # the frame holds the block only if the data ever arrived
+        cached = system.cache.peek(system.fs.lookup("data").file_id, 2)
+        assert (cached is None) == bool(aborted)
+
+    @pytest.mark.parametrize("count, retries, lost", [(1, 1, 0), (-1, 8, 1)])
+    def test_eviction_writeback_fault_retries_then_counts_the_loss(self, count, retries, lost):
+        # 0.5 MB is 64 frames: writing 80 fresh blocks pushes the first
+        # dirty ones out through _async_write long before the syncer runs.
+        lba = self._lba_of("out", 80, 0)
+        config = small_config(
+            faults=FaultPlan(block_faults=(BlockFault("RZ56", lba, kind="error", count=count, write=True),))
+        )
+        system = System(config)
+        system.add_file("out", nblocks=80, disk="RZ56")
+
+        def prog():
+            for b in range(80):
+                yield BlockWrite("out", b, whole=True)
+
+        system.spawn("p", prog())
+        result = system.run()
+        assert result.faults["disk_retries"] == retries
+        assert result.faults["lost_writes"] == lost
+        assert len(system.cache.dirty_blocks()) == 0
+
     def test_chaos_run_completes_with_sanitizer_clean(self):
         """Rates on every disk axis; the run ends, I1–I6 hold throughout."""
         config = small_config(

@@ -68,6 +68,9 @@ class TestCreate:
 
 
 class TestAddressing:
+    """``File.lba_of`` is on every block access of the simulated kernel *and*
+    of the serving path (``CacheService.read``/``prefetch`` call it too)."""
+
     def test_lba_of(self, fs):
         f = fs.create("a", 10)
         base = f.extents[0].start_lba
@@ -84,6 +87,60 @@ class TestAddressing:
     def test_lba_across_extents(self):
         f = File(1, "x", "d0", nblocks=4, extents=[Extent(0, 2), Extent(100, 2)])
         assert [f.lba_of(i) for i in range(4)] == [0, 1, 100, 101]
+
+    def test_multi_extent_boundaries(self):
+        """First and last block of every extent, and both sides of the file."""
+        f = File(1, "x", "d0", nblocks=9, extents=[Extent(10, 3), Extent(100, 1), Extent(50, 5)])
+        assert f.capacity() == 9
+        assert [f.lba_of(b) for b in (0, 2)] == [10, 12]
+        assert f.lba_of(3) == 100
+        assert [f.lba_of(b) for b in (4, 8)] == [50, 54]
+        for outside in (9, 10, -1, -9):
+            with pytest.raises(FsError, match="outside allocated 9 blocks"):
+                f.lba_of(outside)
+
+    def test_file_without_extents_has_no_blocks(self):
+        f = File(1, "x", "d0")
+        assert f.capacity() == 0
+        with pytest.raises(FsError):
+            f.lba_of(0)
+
+    def test_addresses_follow_growth(self, fs):
+        """Looking blocks up between growths must not pin a stale layout:
+        the last extent may grow in place, and new extents may follow it."""
+        a = fs.create("a", 0)
+        first = fs.ensure_block(a, 0)  # 64-block extent
+        assert a.lba_of(63) == first + 63
+        with pytest.raises(FsError):
+            a.lba_of(64)
+        fs.ensure_block(a, 64)  # contiguous: the extent grows in place
+        assert len(a.extents) == 1
+        assert a.lba_of(64) == first + 64
+        fs.create("wedge", 10)
+        lba = fs.ensure_block(a, 128)  # no longer contiguous: a second extent
+        assert len(a.extents) == 2
+        assert lba == a.extents[1].start_lba == a.lba_of(128)
+        assert a.lba_of(127) == first + 127
+        assert a.capacity() == 128 + 64
+        with pytest.raises(FsError):
+            a.lba_of(a.capacity())
+
+    def test_dropping_extents_rebuilds_the_index(self):
+        """``extents`` is a public list: shrinking it after a lookup must
+        not leave the cached extent index answering for the old layout."""
+        f = File(1, "x", "d0", nblocks=6, extents=[Extent(10, 2), Extent(100, 2), Extent(50, 2)])
+        assert f.lba_of(5) == 51
+        del f.extents[1:]
+        assert f.capacity() == 2
+        with pytest.raises(FsError, match="outside allocated 2 blocks"):
+            f.lba_of(2)
+        f.extents.append(Extent(70, 3))
+        assert [f.lba_of(b) for b in (1, 2, 4)] == [11, 70, 72]
+
+    def test_interleaved_files_address_every_block(self, fs):
+        files = fs.create_interleaved([("a", 5), ("b", 3)], chunk=2)
+        lbas = sorted(f.lba_of(b) for f in files for b in range(f.nblocks))
+        assert lbas == list(range(lbas[0], lbas[0] + 8))
 
     def test_extent_validation(self):
         with pytest.raises(ValueError):
