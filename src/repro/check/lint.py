@@ -37,14 +37,11 @@ R008  Instrumentation goes through :mod:`repro.telemetry`: library code
       belong in the metrics registry (or a named attribute on a stats
       class); human output belongs to the CLI layers (``repro/harness``,
       ``repro/check``, the serve/metrics entry points), which are exempt.
-R009  ``repro/server/protocol.py`` is the single registry of the wire
-      protocol: every verb literal a module compares against (``verb ==
-      "flush"``) or collects into a ``*_VERBS`` set must be declared in
-      ``KERNEL_VERBS``/``PROTOCOL_VERBS`` there, so router, daemon and
-      clients cannot drift apart silently.  And within ``repro/cluster``
-      only the supervisor may instantiate ``CacheDaemon`` — a shard built
-      anywhere else would be invisible to the ring, the health loop and
-      the cluster telemetry.
+R009  Within ``repro/cluster`` only the supervisor may instantiate
+      ``CacheDaemon`` — a shard built anywhere else would be invisible to
+      the ring, the health loop and the cluster telemetry.  (Wire verbs
+      need no rule: ``repro/server/protocol.py`` declares each one once,
+      in its ``VERBS`` table, and derives every verb set from it.)
 R010  Suppression and baseline hygiene (see :mod:`repro.check.manager`):
       ``# repro: allow(...)`` comments must name valid rules and give a
       reason, and baseline entries must still match a live finding.
@@ -55,19 +52,6 @@ R011  Benchmark results flow through the performance version system:
       / ``save_json`` fixtures and the ``perf_profile`` store
       (:mod:`repro.perf`), so every run lands in the versioned
       ``.perf/profiles/<sha>/`` trajectory with a validated schema.
-R012  Every wire verb declared in the protocol registry must carry a
-      binary wire entry: ``VERB_WIRE`` in ``repro/server/protocol.py``
-      maps each verb of ``KERNEL_VERBS``/``PROTOCOL_VERBS`` to a
-      ``(binary verb id, batchable)`` tuple — ids unique, entries only
-      for declared verbs — so a verb added to one framing can never be
-      silently unreachable (or ambiguous) on the other.
-R013  Replica fan-out happens only in the replication module: within
-      ``repro/cluster``, ``.replicas(...)`` may be called only by
-      ``replication.py`` (and defined by ``ring.py``), and the
-      replication verbs (``invalidate``, ``declare_bundle``,
-      ``migrate_begin``/``migrate_chunk``/``migrate_end``) may be sent
-      or dispatched on only there — so the cluster cannot quietly grow
-      a second, divergent replication path with its own fencing rules.
 R014  Workload generators are reproducible: under ``repro/workloads/``
       every random draw goes through a seeded ``random.Random`` instance
       — the module-level ``random.*`` functions (and an unseeded
@@ -188,27 +172,9 @@ PRINT_EXEMPT_FILES = frozenset(
     {"repro/server/daemon.py", "repro/cluster/cli.py", "repro/perf/cli.py"}
 )
 
-#: R009: the single registry of wire verbs, and the verb-set names it
-#: declares them in.
-PROTOCOL_REGISTRY = "repro/server/protocol.py"
-VERB_SET_NAMES = ("KERNEL_VERBS", "PROTOCOL_VERBS")
-#: R012: the binary wire registry in the same module — verb name →
-#: (binary verb id, batchable) tuple.
-VERB_WIRE_NAME = "VERB_WIRE"
-#: ...and the cluster's single daemon factory.
+#: R009: the cluster's single daemon factory.
 CLUSTER_DIR = "repro/cluster/"
 CLUSTER_DAEMON_FACTORY = "repro/cluster/supervisor.py"
-
-#: R013: replica fan-out is confined to the replication module.  Within
-#: repro/cluster, only these files may call ``.replicas(...)`` (the ring
-#: defines it, the replication module consumes it), and only the
-#: replication module may initiate the replication verbs on the wire —
-#: any other caller would be a second, divergent replication path.
-REPLICATION_MODULE = "repro/cluster/replication.py"
-REPLICA_LOOKUP_FILES = frozenset({REPLICATION_MODULE, "repro/cluster/ring.py"})
-REPLICATION_VERBS = frozenset(
-    {"invalidate", "declare_bundle", "migrate_begin", "migrate_chunk", "migrate_end"}
-)
 
 #: R011: benchmark emitters persist results only through the shared
 #: conftest fixtures (save_table/save_json) and the repro.perf profile
@@ -272,8 +238,8 @@ def _local_dict_names(func: ast.AST) -> Set[str]:
 
 
 class _FileLinter(ast.NodeVisitor):
-    """Runs the per-file rules (R001, R002, R004–R009, R011, R013 and
-    the RNG half of R014) over one module."""
+    """Runs the per-file rules (R001, R002, R004–R009, R011 and the RNG
+    half of R014) over one module."""
 
     def __init__(self, relpath: str, file_path: str = "") -> None:
         self.relpath = relpath
@@ -374,34 +340,6 @@ class _FileLinter(ast.NodeVisitor):
                     "the ring, the health loop and the cluster telemetry always "
                     "know the shard exists",
                 )
-        if self.relpath.startswith(CLUSTER_DIR):
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "replicas"
-                and self.relpath not in REPLICA_LOOKUP_FILES
-            ):
-                self._add(
-                    "R013",
-                    node,
-                    "replica-set lookup outside the replication module — within "
-                    "repro/cluster only replication.py may call .replicas(...), "
-                    "so every fan-out shares one fencing and quorum policy",
-                )
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "call"
-                and self.relpath != REPLICATION_MODULE
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and node.args[0].value in REPLICATION_VERBS
-            ):
-                self._add(
-                    "R013",
-                    node,
-                    f"replication verb '{node.args[0].value}' sent outside the "
-                    "replication module — within repro/cluster only "
-                    "replication.py speaks the replication wire protocol",
-                )
         if self._bench_file:
             self._check_benchmark_write(node, func)
         if (
@@ -421,27 +359,6 @@ class _FileLinter(ast.NodeVisitor):
                         f"isinstance dispatch on sim op '{name}' outside the kernel — "
                         "ops are consumed via the engine (repro/kernel/system.py)",
                     )
-        self.generic_visit(node)
-
-    # R013: no second replication dispatch inside repro/cluster ----------
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        if (
-            self.relpath.startswith(CLUSTER_DIR)
-            and self.relpath != REPLICATION_MODULE
-            and any(_is_verb_expr(side) for side in [node.left, *node.comparators])
-        ):
-            for side in [node.left, *node.comparators]:
-                elts = side.elts if isinstance(side, (ast.Tuple, ast.List, ast.Set)) else [side]
-                for elt in elts:
-                    if isinstance(elt, ast.Constant) and elt.value in REPLICATION_VERBS:
-                        self._add(
-                            "R013",
-                            node,
-                            f"replication verb '{elt.value}' dispatched on outside "
-                            "the replication module — within repro/cluster only "
-                            "replication.py interprets the replication protocol",
-                        )
         self.generic_visit(node)
 
     # R011: benchmark files must emit through the perf store -------------
@@ -678,8 +595,8 @@ class _FileLinter(ast.NodeVisitor):
 
 
 def _rules_pass(ctx: FileContext) -> List[Finding]:
-    """R001/R002/R004–R009 (per-file half), R011, R013 and the RNG half
-    of R014 over one parsed module."""
+    """R001/R002/R004–R009, R011 and the RNG half of R014 over one parsed
+    module."""
     linter = _FileLinter(ctx.relpath, ctx.file_path)
     linter.visit(ctx.tree)
     return linter.findings
@@ -704,14 +621,6 @@ def _policy_pass(root: Path, contexts: List[FileContext]) -> List[Finding]:
     return check_policy_registry(root)
 
 
-def _verbs_pass(root: Path, contexts: List[FileContext]) -> List[Finding]:
-    return check_verb_declarations(root)
-
-
-def _wire_pass(root: Path, contexts: List[FileContext]) -> List[Finding]:
-    return check_verb_wire(root)
-
-
 def _workloads_pass(root: Path, contexts: List[FileContext]) -> List[Finding]:
     return check_workload_registry(root)
 
@@ -720,7 +629,7 @@ def default_manager() -> PassManager:
     """The full pass set ``repro-lint`` runs: R-rules + F-passes."""
     return PassManager(
         file_passes=[_rules_pass, _flow_pass],
-        tree_passes=[_policy_pass, _verbs_pass, _wire_pass, _workloads_pass],
+        tree_passes=[_policy_pass, _workloads_pass],
     )
 
 
@@ -854,259 +763,6 @@ def check_policy_registry(root: Path) -> List[Finding]:
                     + ", ".join(missing),
                 )
             )
-    return findings
-
-
-# -- R009: wire verbs are declared in the protocol registry (cross-file) --
-
-
-def _is_verb_expr(node: ast.expr) -> bool:
-    """Whether ``node`` reads like the verb of a request (``verb`` or
-    ``msg.verb``/``x.verb`` attribute access)."""
-    return (isinstance(node, ast.Name) and node.id == "verb") or (
-        isinstance(node, ast.Attribute) and node.attr == "verb"
-    )
-
-
-def _str_constants(node: ast.expr) -> List[Tuple[str, int]]:
-    """Every string literal inside a constant/tuple/set/list expression."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return [(node.value, node.lineno)]
-    if isinstance(node, (ast.Tuple, ast.Set, ast.List)):
-        out: List[Tuple[str, int]] = []
-        for elt in node.elts:
-            out.extend(_str_constants(elt))
-        return out
-    return []
-
-
-def _verb_literals(tree: ast.AST) -> List[Tuple[str, int, str]]:
-    """Every wire-verb literal this module handles: ``(verb, line, how)``.
-
-    Two shapes count as "handling a verb": comparing a verb expression
-    against string literals (``verb == "flush"``, ``verb in ("ping",
-    "hello")``) and collecting literals into a module-level ``*_VERBS``
-    set (``IDEMPOTENT_VERBS = frozenset({...})``).
-    """
-    found: List[Tuple[str, int, str]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Compare):
-            sides = [node.left] + list(node.comparators)
-            if not any(_is_verb_expr(side) for side in sides):
-                continue
-            if not any(
-                isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops
-            ):
-                continue
-            for side in sides:
-                for literal, line in _str_constants(side):
-                    found.append((literal, line, "comparison"))
-        elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            if not any(name.endswith("_VERBS") for name in names):
-                continue
-            value = node.value
-            if (
-                isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Name)
-                and value.func.id in ("frozenset", "set", "tuple")
-                and value.args
-            ):
-                value = value.args[0]
-            for literal, line in _str_constants(value):
-                found.append((literal, line, "verb set"))
-    return found
-
-
-def _declared_verbs(protocol_path: Path) -> Optional[Set[str]]:
-    """The verbs declared in the protocol registry, or None if unparsable."""
-    try:
-        tree = ast.parse(protocol_path.read_text(), filename=str(protocol_path))
-    except (OSError, SyntaxError):
-        return None
-    declared: Set[str] = set()
-    seen_sets = 0
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign):
-            continue
-        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        if not any(name in VERB_SET_NAMES for name in names):
-            continue
-        seen_sets += 1
-        for literal, _ in _verb_literals_of_value(node.value):
-            declared.add(literal)
-    return declared if seen_sets else None
-
-
-def _verb_literals_of_value(value: ast.expr) -> List[Tuple[str, int]]:
-    if (
-        isinstance(value, ast.Call)
-        and isinstance(value.func, ast.Name)
-        and value.func.id in ("frozenset", "set", "tuple")
-        and value.args
-    ):
-        value = value.args[0]
-    return _str_constants(value)
-
-
-def check_verb_declarations(root: Path) -> List[Finding]:
-    """R009 (verb half) over ``<root>/repro``: every verb handled anywhere
-    must be declared in the protocol registry."""
-    protocol = root / Path(PROTOCOL_REGISTRY)
-    if not protocol.exists():
-        return []
-    declared = _declared_verbs(protocol)
-    if declared is None:
-        return [
-            Finding(
-                "R009",
-                PROTOCOL_REGISTRY,
-                1,
-                "could not find KERNEL_VERBS/PROTOCOL_VERBS declarations",
-            )
-        ]
-    findings: List[Finding] = []
-    for path in sorted((root / "repro").rglob("*.py")):
-        relpath = path.relative_to(root).as_posix()
-        if relpath == PROTOCOL_REGISTRY:
-            continue
-        try:
-            tree = ast.parse(path.read_text(), filename=str(path))
-        except (OSError, SyntaxError):
-            continue
-        for verb, line, how in _verb_literals(tree):
-            if verb not in declared:
-                findings.append(
-                    Finding(
-                        "R009",
-                        relpath,
-                        line,
-                        f"wire verb '{verb}' handled here ({how}) but not "
-                        "declared in repro/server/protocol.py — the protocol "
-                        "registry is the single source of the verb surface",
-                    )
-                )
-    return findings
-
-
-# -- R012: every declared verb has a binary wire entry (cross-file) -------
-
-
-def _verb_wire_dict(tree: ast.AST) -> Optional[Tuple[ast.Dict, int]]:
-    """The ``VERB_WIRE = {...}`` dict literal and its line, if present."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign):
-            continue
-        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        # Annotated form (VERB_WIRE: Dict[...] = {...}) has no Assign
-        # targets of Name type — handled below.
-        if VERB_WIRE_NAME in names and isinstance(node.value, ast.Dict):
-            return node.value, node.lineno
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.AnnAssign)
-            and isinstance(node.target, ast.Name)
-            and node.target.id == VERB_WIRE_NAME
-            and isinstance(node.value, ast.Dict)
-        ):
-            return node.value, node.lineno
-    return None
-
-
-def check_verb_wire(root: Path) -> List[Finding]:
-    """R012: ``VERB_WIRE`` covers exactly the declared verb surface, each
-    entry a ``(unique int id, bool batchable)`` tuple."""
-    protocol = root / Path(PROTOCOL_REGISTRY)
-    if not protocol.exists():
-        return []
-    declared = _declared_verbs(protocol)
-    if declared is None:
-        return []  # R009 already reports the missing verb sets
-    try:
-        tree = ast.parse(protocol.read_text(), filename=str(protocol))
-    except (OSError, SyntaxError):
-        return []
-    located = _verb_wire_dict(tree)
-    if located is None:
-        return [
-            Finding(
-                "R012",
-                PROTOCOL_REGISTRY,
-                1,
-                f"no {VERB_WIRE_NAME} dict literal found — every wire verb "
-                "must declare a binary verb id and batchability flag",
-            )
-        ]
-    wire_dict, dict_line = located
-    findings: List[Finding] = []
-    entries: Dict[str, int] = {}
-    ids_seen: Dict[int, str] = {}
-    for key, value in zip(wire_dict.keys, wire_dict.values):
-        line = key.lineno if key is not None else dict_line
-        if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-            findings.append(
-                Finding(
-                    "R012",
-                    PROTOCOL_REGISTRY,
-                    line,
-                    f"{VERB_WIRE_NAME} key must be a verb string literal",
-                )
-            )
-            continue
-        verb = key.value
-        entries[verb] = line
-        ok_shape = (
-            isinstance(value, ast.Tuple)
-            and len(value.elts) == 2
-            and isinstance(value.elts[0], ast.Constant)
-            and type(value.elts[0].value) is int
-            and isinstance(value.elts[1], ast.Constant)
-            and type(value.elts[1].value) is bool
-        )
-        if not ok_shape:
-            findings.append(
-                Finding(
-                    "R012",
-                    PROTOCOL_REGISTRY,
-                    line,
-                    f"{VERB_WIRE_NAME}['{verb}'] must be a literal "
-                    "(int verb id, bool batchable) tuple",
-                )
-            )
-            continue
-        wire_id = value.elts[0].value
-        if wire_id in ids_seen:
-            findings.append(
-                Finding(
-                    "R012",
-                    PROTOCOL_REGISTRY,
-                    line,
-                    f"{VERB_WIRE_NAME}['{verb}'] reuses binary verb id "
-                    f"{wire_id} (already taken by '{ids_seen[wire_id]}')",
-                )
-            )
-        else:
-            ids_seen[wire_id] = verb
-        if verb not in declared:
-            findings.append(
-                Finding(
-                    "R012",
-                    PROTOCOL_REGISTRY,
-                    line,
-                    f"{VERB_WIRE_NAME} entry for '{verb}' which is not a "
-                    "declared wire verb (KERNEL_VERBS/PROTOCOL_VERBS)",
-                )
-            )
-    for verb in sorted(declared - set(entries)):
-        findings.append(
-            Finding(
-                "R012",
-                PROTOCOL_REGISTRY,
-                dict_line,
-                f"wire verb '{verb}' has no {VERB_WIRE_NAME} entry — every "
-                "declared verb needs a binary verb id and batchability flag",
-            )
-        )
     return findings
 
 

@@ -32,8 +32,9 @@ with ``wire="json"`` or ``REPRO_WIRE=json``); an old daemon simply
 ignores the offer and the session stays on JSON.  Batch helpers
 (:meth:`CacheClient.readv`/:meth:`~CacheClient.writev` and the chunking
 :meth:`~CacheClient.read_many`/:meth:`~CacheClient.write_many`) put many
-block ops in one frame; :meth:`~CacheClient.pipeline` drives arbitrary
-verbs at a chosen depth with in-order results.
+block ops in one frame — ``readv``/``writev`` send more than
+``MAX_BATCH_OPS`` as sequential frames; :meth:`~CacheClient.pipeline`
+drives arbitrary verbs at a chosen depth with in-order results.
 
 Protocol only — the kernel lives on the other side of the wire (lint rule
 R006).
@@ -57,6 +58,8 @@ from typing import (
 )
 
 from repro.server.protocol import (
+    MAX_BATCH_OPS,
+    VERBS,
     WIRE_BINARY,
     WIRE_JSON,
     ProtocolError,
@@ -95,29 +98,8 @@ DEFAULT_CLIENT_WINDOW = 16
 #: default ops per readv/writev frame for the chunking helpers
 DEFAULT_BATCH_OPS = 64
 
-#: verbs safe to re-send after a timeout: applying them twice leaves the
-#: kernel in the same state (reads and gets; ``open`` re-opens, ``ping``/
-#: ``hello``/``stats`` are pure; ``readv`` is a batch of reads).
-#: ``write``/``writev``/``set_*`` are excluded — a duplicate would
-#: double-apply side effects the first delivery had.
-IDEMPOTENT_VERBS = frozenset(
-    {
-        "ping",
-        "hello",
-        "stats",
-        "metrics",
-        "flush",
-        "read",
-        "readv",
-        "open",
-        "get_priority",
-        "get_policy",
-        # Replication repair converges: dropping an already-dropped block
-        # and re-fetching a declared bundle are both no-ops the second time.
-        "invalidate",
-        "declare_bundle",
-    }
-)
+#: verbs safe to re-send after a timeout (see ``Verb.idempotent``)
+IDEMPOTENT_VERBS = frozenset(name for name, verb in VERBS.items() if verb.idempotent)
 
 
 def default_wire() -> str:
@@ -544,33 +526,44 @@ class CacheClient:
 
     # -- batched block I/O -------------------------------------------------
 
-    @staticmethod
-    def _batch_results(value: Any, expected: int, verb: str) -> List[Dict[str, Any]]:
-        results = value.get("results") if isinstance(value, dict) else None
-        if not isinstance(results, list) or len(results) != expected:
-            raise ProtocolError(
-                f"{verb}: malformed batch reply for {expected} ops: {value!r}"
-            )
+    async def _batch(self, verb: str, wire_ops: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """Send ``wire_ops`` in sequential frames of at most
+        ``MAX_BATCH_OPS`` ops; the per-op results concatenated in op order.
+
+        Frames go one after another, so a caller-sized batch never holds
+        more than one frame's worth of ops in flight on this connection.
+        """
+        results: List[Dict[str, Any]] = []
+        for start in range(0, len(wire_ops) or 1, MAX_BATCH_OPS):
+            chunk = wire_ops[start:start + MAX_BATCH_OPS]
+            value = await self.call(verb, ops=chunk)
+            reply = value.get("results") if isinstance(value, dict) else None
+            if not isinstance(reply, list) or len(reply) != len(chunk):
+                raise ProtocolError(
+                    f"{verb}: malformed batch reply for {len(chunk)} ops: {value!r}"
+                )
+            results.extend(reply)
         return results
 
     async def readv(
         self, ops: Iterable[Tuple[str, int]]
     ) -> List[Dict[str, Any]]:
-        """One batched read frame; ``ops`` is ``(path, blockno)`` pairs.
+        """Batched reads; ``ops`` is ``(path, blockno)`` pairs.
 
         Returns the raw per-op result list — ``{"hit": bool}`` for an
         applied op, ``{"code", "error"}`` for a failed one.  A partial
         failure never discards the batch: good ops are applied and their
-        results returned alongside the errors.
+        results returned alongside the errors.  More than
+        ``MAX_BATCH_OPS`` ops go as several frames, in order.
         """
-        wire_ops = [{"path": path, "blockno": blockno} for path, blockno in ops]
-        value = await self.call("readv", ops=wire_ops)
-        return self._batch_results(value, len(wire_ops), "readv")
+        return await self._batch(
+            "readv", [{"path": path, "blockno": blockno} for path, blockno in ops]
+        )
 
     async def writev(
         self, ops: Iterable[Tuple[Any, ...]]
     ) -> List[Dict[str, Any]]:
-        """One batched write frame; ``ops`` is ``(path, blockno[, whole])``.
+        """Batched writes; ``ops`` is ``(path, blockno[, whole])``.
 
         Like :meth:`readv`, results are per-op.  ``writev`` is *not*
         auto-retried after a timeout (the batch may already be applied).
@@ -579,8 +572,7 @@ class CacheClient:
         for op in ops:
             whole = op[2] if len(op) > 2 else True
             wire_ops.append({"path": op[0], "blockno": op[1], "whole": bool(whole)})
-        value = await self.call("writev", ops=wire_ops)
-        return self._batch_results(value, len(wire_ops), "writev")
+        return await self._batch("writev", wire_ops)
 
     @staticmethod
     def unwrap_batch(results: List[Dict[str, Any]]) -> List[bool]:

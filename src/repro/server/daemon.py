@@ -32,7 +32,7 @@ import argparse
 import asyncio
 import signal
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.faults.plan import FaultPlan
 from repro.faults.transport import FaultyTransport
@@ -46,7 +46,7 @@ from repro.server.protocol import (
     ok_response,
     queue_pair,
 )
-from repro.server.service import CacheService, ServiceError, build_config
+from repro.server.service import DIRECTIVE_PARAMS, CacheService, ServiceError, build_config
 from repro.server.session import DEFAULT_GLOBAL_LIMIT, DEFAULT_WINDOW, Session
 
 
@@ -104,6 +104,7 @@ class CacheDaemon:
         self._kernel_task: Optional["asyncio.Task[None]"] = None
         self._servers: List[asyncio.AbstractServer] = []
         self._session_tasks: set = set()
+        self._handlers = self._kernel_handlers()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -486,47 +487,43 @@ class CacheDaemon:
             verb, fields = protocol.validated_request(msg)
         except protocol.RequestValidationError as exc:
             raise ServiceError("BAD_REQUEST", str(exc)) from exc
-        pid = session.pid
-        if verb == "open":
-            return self.service.open(
-                pid, fields["path"], fields.get("size_blocks"), fields.get("disk")
-            )
-        if verb == "read":
-            return self.service.read(pid, fields["path"], fields["blockno"])
-        if verb == "write":
-            return self.service.write(
-                pid, fields["path"], fields["blockno"], fields.get("whole", True)
-            )
-        if verb == "readv":
-            return {"results": self.service.read_batch(pid, fields["ops"])}
-        if verb == "writev":
-            return {"results": self.service.write_batch(pid, fields["ops"])}
-        if verb == "stats":
-            return self.snapshot()
-        if verb == "metrics":
-            return self.metrics_reply(fields.get("format"))
-        if verb == "flush":
-            return {"flushed": self.service.flush_all()}
-        if verb == "close":
-            session.closed = True
+        return self._handlers[verb](session, fields)
+
+    def _kernel_handlers(self) -> Dict[str, Callable[[Session, Dict[str, Any]], Any]]:
+        """Kernel verb -> handler: one per kernel verb of the protocol
+        table, each called with the session ``s`` and validated fields ``f``."""
+        service = self.service
+
+        def close(s: Session, f: Dict[str, Any]) -> Dict[str, bool]:
+            s.closed = True
             return {"closed": True}
-        if verb == "invalidate":
-            return self.service.invalidate(pid, fields["path"], fields.get("blockno"))
-        if verb == "declare_bundle":
-            return self.service.declare_bundle(
-                pid, fields["bundle"], fields["paths"], fields.get("action", "fetch")
-            )
-        if verb == "migrate_begin":
-            return self.service.migrate_begin(pid, fields["paths"])
-        if verb == "migrate_chunk":
-            if "records" in fields:
-                return self.service.migrate_ingest(pid, fields["records"])
-            return self.service.migrate_pull(pid, fields["token"], fields.get("max", 256))
-        if verb == "migrate_end":
-            return self.service.migrate_end(
-                pid, fields["token"], bool(fields.get("drop", True))
-            )
-        return self.service.directive(pid, verb, fields)
+
+        def migrate_chunk(s: Session, f: Dict[str, Any]) -> Any:
+            if "records" in f:
+                return service.migrate_ingest(s.pid, f["records"])
+            return service.migrate_pull(s.pid, f["token"], f.get("max", 256))
+
+        handlers: Dict[str, Callable[[Session, Dict[str, Any]], Any]] = {
+            "open": lambda s, f: service.open(s.pid, f["path"], f.get("size_blocks"), f.get("disk")),
+            "read": lambda s, f: service.read(s.pid, f["path"], f["blockno"]),
+            "write": lambda s, f: service.write(s.pid, f["path"], f["blockno"], f.get("whole", True)),
+            "readv": lambda s, f: {"results": service.read_batch(s.pid, f["ops"])},
+            "writev": lambda s, f: {"results": service.write_batch(s.pid, f["ops"])},
+            "stats": lambda s, f: self.snapshot(),
+            "metrics": lambda s, f: self.metrics_reply(f.get("format")),
+            "flush": lambda s, f: {"flushed": service.flush_all()},
+            "close": close,
+            "invalidate": lambda s, f: service.invalidate(s.pid, f["path"], f.get("blockno")),
+            "declare_bundle": lambda s, f: service.declare_bundle(
+                s.pid, f["bundle"], f["paths"], f.get("action", "fetch")
+            ),
+            "migrate_begin": lambda s, f: service.migrate_begin(s.pid, f["paths"]),
+            "migrate_chunk": migrate_chunk,
+            "migrate_end": lambda s, f: service.migrate_end(s.pid, f["token"], bool(f.get("drop", True))),
+        }
+        for verb in DIRECTIVE_PARAMS:
+            handlers[verb] = lambda s, f, verb=verb: service.directive(s.pid, verb, f)
+        return handlers
 
     # -- stats -------------------------------------------------------------
 

@@ -40,6 +40,7 @@ from repro.disk.params import BLOCK_SIZE
 from repro.faults import FaultInjector, FaultPlan
 from repro.fs.filesystem import FsError, SimFilesystem
 from repro.kernel.system import MachineConfig
+from repro.server.protocol import VERBS
 from repro.server.stats import SessionCounters
 from repro.telemetry import Telemetry, attach_standard_collectors
 
@@ -53,12 +54,8 @@ class ServiceError(Exception):
 
 
 #: wire params of each directive verb, in fbehavior operand order
-_DIRECTIVE_PARAMS: Dict[str, Tuple[str, ...]] = {
-    "set_priority": ("path", "prio"),
-    "get_priority": ("path",),
-    "set_policy": ("prio", "policy"),
-    "get_policy": ("prio",),
-    "set_temppri": ("path", "start", "end", "prio"),
+DIRECTIVE_PARAMS: Dict[str, Tuple[str, ...]] = {
+    op.value: VERBS[op.value].params for op in FBehaviorOp
 }
 
 
@@ -373,16 +370,12 @@ class CacheService:
     # -- directives --------------------------------------------------------
 
     def directive(self, pid: int, verb: str, params: Dict[str, Any]) -> Any:
-        """Apply one fbehavior directive; returns the get-call value."""
-        names = _DIRECTIVE_PARAMS.get(verb)
-        if names is None:
-            raise ServiceError("BAD_REQUEST", f"unknown directive {verb!r}")
-        missing = [name for name in names if name not in params]
-        if missing:
-            raise ServiceError(
-                "BAD_REQUEST", f"{verb}: missing parameter(s) {', '.join(missing)}"
-            )
-        args = tuple(params[name] for name in names)
+        """Apply one fbehavior directive; returns the get-call value.
+
+        ``params`` passed :func:`~repro.server.protocol.validated_request`,
+        which requires every operand the verb's table row names.
+        """
+        args = tuple(params[name] for name in DIRECTIVE_PARAMS[verb])
         self._op_seq += 1
         if self.trace_recorder is not None:
             self.trace_recorder.record_directive(pid, verb, args)

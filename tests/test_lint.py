@@ -7,8 +7,6 @@ from pathlib import Path
 from repro.check.lint import (
     Finding,
     check_policy_registry,
-    check_verb_declarations,
-    check_verb_wire,
     check_workload_registry,
     lint_source,
     lint_tree,
@@ -527,210 +525,6 @@ class TestR009DaemonFactory:
         assert findings == []
 
 
-class TestR009VerbRegistry:
-    REGISTRY = """
-    KERNEL_VERBS = frozenset({"open", "read", "write", "stats"})
-    PROTOCOL_VERBS = frozenset({"ping", "hello", "close"})
-    """
-
-    def _write_tree(self, tmp_path, module, registry=REGISTRY):
-        server = tmp_path / "repro" / "server"
-        server.mkdir(parents=True)
-        (tmp_path / "repro" / "__init__.py").write_text("")
-        (server / "__init__.py").write_text("")
-        (server / "protocol.py").write_text(textwrap.dedent(registry))
-        (server / "router.py").write_text(textwrap.dedent(module))
-        return tmp_path
-
-    def test_declared_verbs_are_clean(self, tmp_path):
-        root = self._write_tree(
-            tmp_path,
-            """
-            def dispatch(verb):
-                if verb == "open":
-                    return 1
-                if verb in ("ping", "hello"):
-                    return 2
-            """,
-        )
-        assert check_verb_declarations(root) == []
-
-    def test_undeclared_comparison_fires(self, tmp_path):
-        root = self._write_tree(
-            tmp_path,
-            """
-            def dispatch(msg):
-                if msg.verb == "frobnicate":
-                    return 1
-            """,
-        )
-        findings = check_verb_declarations(root)
-        assert rules(findings) == ["R009"]
-        assert "frobnicate" in findings[0].message
-
-    def test_undeclared_verb_set_fires(self, tmp_path):
-        root = self._write_tree(
-            tmp_path,
-            """
-            MY_VERBS = frozenset({"read", "bogus"})
-            """,
-        )
-        findings = check_verb_declarations(root)
-        assert rules(findings) == ["R009"]
-        assert "bogus" in findings[0].message
-
-    def test_non_verb_comparisons_are_ignored(self, tmp_path):
-        root = self._write_tree(
-            tmp_path,
-            """
-            def f(policy):
-                if policy == "lru-sp":
-                    return 1
-            """,
-        )
-        assert check_verb_declarations(root) == []
-
-    def test_registry_without_sets_fires_at_registry(self, tmp_path):
-        root = self._write_tree(
-            tmp_path,
-            "x = 1\n",
-            registry="NOT_VERBS_AT_ALL = 3\n",
-        )
-        findings = check_verb_declarations(root)
-        assert rules(findings) == ["R009"]
-        assert findings[0].path == "repro/server/protocol.py"
-
-    def test_tree_without_registry_is_skipped(self, tmp_path):
-        (tmp_path / "repro").mkdir()
-        (tmp_path / "repro" / "__init__.py").write_text("")
-        (tmp_path / "repro" / "mod.py").write_text('VERBS = ["x"]\n')
-        assert check_verb_declarations(tmp_path) == []
-
-
-class TestR012WireRegistry:
-    def _write_registry(self, tmp_path, registry):
-        server = tmp_path / "repro" / "server"
-        server.mkdir(parents=True)
-        (tmp_path / "repro" / "__init__.py").write_text("")
-        (server / "__init__.py").write_text("")
-        (server / "protocol.py").write_text(textwrap.dedent(registry))
-        return tmp_path
-
-    def test_complete_registry_is_clean(self, tmp_path):
-        root = self._write_registry(
-            tmp_path,
-            """
-            KERNEL_VERBS = frozenset({"read", "write"})
-            PROTOCOL_VERBS = frozenset({"ping"})
-            VERB_WIRE = {
-                "read": (4, True),
-                "write": (5, True),
-                "ping": (2, False),
-            }
-            """,
-        )
-        assert check_verb_wire(root) == []
-
-    def test_annotated_assignment_form_is_recognised(self, tmp_path):
-        root = self._write_registry(
-            tmp_path,
-            """
-            from typing import Dict, Tuple
-            KERNEL_VERBS = frozenset({"read"})
-            PROTOCOL_VERBS = frozenset({"ping"})
-            VERB_WIRE: Dict[str, Tuple[int, bool]] = {
-                "read": (4, True),
-                "ping": (2, False),
-            }
-            """,
-        )
-        assert check_verb_wire(root) == []
-
-    def test_missing_dict_fires(self, tmp_path):
-        root = self._write_registry(
-            tmp_path,
-            """
-            KERNEL_VERBS = frozenset({"read"})
-            PROTOCOL_VERBS = frozenset({"ping"})
-            """,
-        )
-        findings = check_verb_wire(root)
-        assert rules(findings) == ["R012"]
-        assert "VERB_WIRE" in findings[0].message
-
-    def test_verb_without_entry_fires(self, tmp_path):
-        root = self._write_registry(
-            tmp_path,
-            """
-            KERNEL_VERBS = frozenset({"read", "write"})
-            PROTOCOL_VERBS = frozenset({"ping"})
-            VERB_WIRE = {
-                "read": (4, True),
-                "ping": (2, False),
-            }
-            """,
-        )
-        findings = check_verb_wire(root)
-        assert rules(findings) == ["R012"]
-        assert "'write'" in findings[0].message
-
-    def test_duplicate_id_fires(self, tmp_path):
-        root = self._write_registry(
-            tmp_path,
-            """
-            KERNEL_VERBS = frozenset({"read", "write"})
-            PROTOCOL_VERBS = frozenset()
-            VERB_WIRE = {
-                "read": (4, True),
-                "write": (4, True),
-            }
-            """,
-        )
-        findings = check_verb_wire(root)
-        assert rules(findings) == ["R012"]
-        assert "reuses binary verb id 4" in findings[0].message
-
-    def test_malformed_entry_fires(self, tmp_path):
-        root = self._write_registry(
-            tmp_path,
-            """
-            KERNEL_VERBS = frozenset({"read"})
-            PROTOCOL_VERBS = frozenset()
-            VERB_WIRE = {
-                "read": (4, 1),
-            }
-            """,
-        )
-        findings = check_verb_wire(root)
-        assert rules(findings) == ["R012"]
-        assert "(int verb id, bool batchable)" in findings[0].message
-
-    def test_undeclared_entry_fires(self, tmp_path):
-        root = self._write_registry(
-            tmp_path,
-            """
-            KERNEL_VERBS = frozenset({"read"})
-            PROTOCOL_VERBS = frozenset()
-            VERB_WIRE = {
-                "read": (4, True),
-                "bogus": (9, False),
-            }
-            """,
-        )
-        findings = check_verb_wire(root)
-        assert rules(findings) == ["R012"]
-        assert "'bogus'" in findings[0].message
-
-    def test_real_registry_is_complete(self):
-        from repro.server.protocol import ALL_VERBS, VERB_WIRE
-
-        assert set(VERB_WIRE) == set(ALL_VERBS)
-        ids = [wire_id for wire_id, _ in VERB_WIRE.values()]
-        assert len(ids) == len(set(ids))
-        # batch carriers wrap batchable ops
-        assert VERB_WIRE["read"][1] and VERB_WIRE["write"][1]
-
-
 class TestR011BenchmarkWrites:
     def test_json_dump_in_benchmark_fires(self):
         findings = lint(
@@ -786,61 +580,6 @@ class TestR011BenchmarkWrites:
         src = "import json\n\ndef save(d, fh):\n    json.dump(d, fh)\n"
         assert lint(src, "repro/harness/report.py") == []
         assert lint(src, "tools/test_gen.py") == []
-
-
-class TestR013ReplicationMonopoly:
-    FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
-
-    def _expected(self, src):
-        return sorted(
-            lineno
-            for lineno, line in enumerate(src.splitlines(), 1)
-            if "EXPECT[R013]" in line
-        )
-
-    def test_positive_fixture_fires_on_every_marked_line(self):
-        src = (self.FIXTURES / "r013_pos.py").read_text()
-        findings = lint_source(src, "repro/cluster/health.py")
-        got = sorted({f.line for f in findings if f.rule == "R013"})
-        assert got == self._expected(src), findings
-
-    def test_negative_fixture_is_clean(self):
-        src = (self.FIXTURES / "r013_neg.py").read_text()
-        findings = lint_source(src, "repro/cluster/client.py")
-        assert [f for f in findings if f.rule == "R013"] == []
-
-    def test_replication_module_is_exempt(self):
-        src = (self.FIXTURES / "r013_pos.py").read_text()
-        findings = lint_source(src, "repro/cluster/replication.py")
-        assert [f for f in findings if f.rule == "R013"] == []
-
-    def test_ring_may_call_replicas_but_not_send_verbs(self):
-        findings = lint(
-            """
-            def spans(self, key, r):
-                return self.replicas(key, r)
-            """,
-            "repro/cluster/ring.py",
-        )
-        assert [f for f in findings if f.rule == "R013"] == []
-        findings = lint(
-            """
-            async def sneak(client, path):
-                return await client.call("invalidate", path=path)
-            """,
-            "repro/cluster/ring.py",
-        )
-        assert rules(findings) == ["R013"]
-
-    def test_outside_cluster_is_allowed(self):
-        findings = lint(
-            """
-            def plans(ring, path, r):
-                return ring.replicas(path, r)
-            """,
-            "repro/faults/replicas.py",
-        )
-        assert [f for f in findings if f.rule == "R013"] == []
 
 
 class TestR014SeededWorkloadRandomness:

@@ -1,11 +1,10 @@
 """repro.harness.load: the cluster load driver and its report, plus the
-fan-out regressions it exposed.
+fan-out regression it exposed.
 
-The regression classes pin the two defects found while scaling the
-driver to thousands of sessions: a :class:`CacheClient` pending-map
-entry stranded by any non-reader exit path (timeout, cancelled waiter,
-failed send), and :class:`ClusterClient` batches above the wire's
-``MAX_BATCH_OPS`` hitting the server's frame validation in one piece.
+The regression class pins the defect found while scaling the driver to
+thousands of sessions: a :class:`CacheClient` pending-map entry stranded
+by any non-reader exit path (timeout, cancelled waiter, failed send).
+The mega-batch regression it also exposed lives in ``test_cluster.py``.
 """
 
 import asyncio
@@ -25,7 +24,6 @@ from repro.harness.load import (
 )
 from repro.server import CacheClient, CacheDaemon, build_config
 from repro.server.client import RetryPolicy
-from repro.server.protocol import MAX_BATCH_OPS
 from repro.workloads.production import (
     PoissonArrivals,
     TrafficOp,
@@ -269,55 +267,6 @@ class TestPendingMapRegression:
             )
             for client in cc.clients.values():
                 assert client._pending == {}
-            await cc.aclose()
-            await sup.aclose()
-
-        run(go())
-
-
-# -- ClusterClient mega-batch regression -----------------------------------
-
-
-class TestBatchSplitRegression:
-    def test_readv_above_max_batch_ops_is_chunked(self):
-        async def go():
-            sup = ClusterSupervisor(shards=2, cache_mb=2, replicas=1)
-            await sup.start()
-            cc = await ClusterClient.connect(sup, name="t")
-            paths = [f"/big{i}.bin" for i in range(8)]
-            for path in paths:
-                await cc.open(path, size_blocks=4)
-            # Pre-fix this went to each shard as one oversized frame and
-            # the server's MAX_BATCH_OPS validation rejected it outright.
-            ops = [
-                (paths[i % len(paths)], i % 4)
-                for i in range(MAX_BATCH_OPS + 300)
-            ]
-            results = await cc.readv(ops)
-            assert len(results) == len(ops)
-            assert all("hit" in r and "error" not in r for r in results)
-            # re-merge must preserve op order across the chunk boundary
-            warm = await cc.readv(ops[:8])
-            assert [r["hit"] for r in warm] == [True] * 8
-            await cc.aclose()
-            await sup.aclose()
-
-        run(go())
-
-    def test_writev_above_max_batch_ops_is_chunked(self):
-        async def go():
-            sup = ClusterSupervisor(shards=2, cache_mb=2, replicas=1)
-            await sup.start()
-            cc = await ClusterClient.connect(sup, name="t")
-            for i in range(4):
-                await cc.open(f"/wb{i}.bin", size_blocks=4)
-            ops = [
-                (f"/wb{i % 4}.bin", i % 4, True)
-                for i in range(MAX_BATCH_OPS + 50)
-            ]
-            results = await cc.writev(ops)
-            assert len(results) == len(ops)
-            assert all("hit" in r and "error" not in r for r in results)
             await cc.aclose()
             await sup.aclose()
 

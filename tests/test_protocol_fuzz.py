@@ -308,7 +308,7 @@ class TestMessageLevelFuzz:
 def bframe(payload=b"", *, version=WIRE_VERSION, flags=0, kind=None, req_id=1, length=None):
     """A raw binary frame with every header field overridable."""
     if kind is None:
-        kind = VERB_WIRE["read"][0]
+        kind = VERB_WIRE["read"]
     if length is None:
         length = len(payload)
     return (
@@ -392,7 +392,7 @@ class TestBinaryByteLevelAttacks:
         )
         run(
             self._expect_rejection(
-                bframe(payload, kind=VERB_WIRE["readv"][0])
+                bframe(payload, kind=VERB_WIRE["readv"])
             )
         )
 
@@ -400,7 +400,7 @@ class TestBinaryByteLevelAttacks:
         for count in (0, 2**31):
             run(
                 self._expect_rejection(
-                    bframe(struct.pack(">I", count), kind=VERB_WIRE["readv"][0])
+                    bframe(struct.pack(">I", count), kind=VERB_WIRE["readv"])
                 )
             )
 
@@ -459,7 +459,7 @@ class TestBinaryDecoderFuzz:
         bframe(b"\x07", kind=1, flags=0x01),  # hit byte must be 0 or 1
         bframe(b"\xff" + struct.pack(">I", 1) + b"x", flags=0x01 | 0x02),  # error code index 255
         bframe(packed_read()[:-3]),  # payload shorter than the packed form
-        bframe(struct.pack(">H", 500) + b"short", kind=VERB_WIRE["read"][0]),  # string overruns payload
+        bframe(struct.pack(">H", 500) + b"short", kind=VERB_WIRE["read"]),  # string overruns payload
         bframe(b"{not json", flags=0x04),  # FLAG_JSON payload that isn't
         bframe(b'"a list no"', flags=0x04),  # FLAG_JSON payload, wrong type
     ]

@@ -215,7 +215,6 @@ class TestReplicatedService:
                 # the client inherits the supervisor's degree: routing and
                 # rebalancing must agree on every path's replica set
                 assert cc.replication.replicas == 2
-                assert cc.replication.active
                 with pytest.raises(ValueError):
                     ReplicationManager(cc, replicas=0)
                 with pytest.raises(ValueError):
