@@ -3,20 +3,11 @@
 Each benchmark regenerates one figure/table of the paper, asserts the
 *shape* of the result (who wins, by roughly what factor, where crossovers
 fall — per DESIGN.md the absolute 1994 numbers are out of scope), writes
-the rendered table to ``benchmarks/results/`` and reports its runtime
-through pytest-benchmark.
-
-Every module also feeds the performance version system: the module-scoped
-:func:`perf_profile` fixture collects named metrics (throughputs, ratios,
-runtimes) and files them as a schema'd :class:`repro.perf.Profile` under
-``.perf/profiles/<git-sha>/<family>.json`` on teardown, where ``family``
-is the module name minus its ``test_`` prefix.  ``repro-accfc perf
-diff|check`` then compares runs across commits (see docs/perf.md).
-
-All result persistence funnels through this module — ``save_table`` for
-rendered tables, ``save_json`` for raw result structures, ``perf_profile``
-for versioned metrics.  Benchmark files themselves may not write files
-(lint rule R011 enforces it).
+the rendered table to ``benchmarks/results/`` through :func:`save_table`
+and reports its runtime through pytest-benchmark.  None of these runtimes
+is gated: ``python3 -m bench`` gives the end-to-end numbers, and
+pytest-benchmark's ``--benchmark-save`` / ``--benchmark-compare`` compare
+two local runs (see docs/perf.md).
 
 Experiments are memoised module-level, so one pytest session computes each
 underlying dataset once no matter how many benchmarks consume it.
@@ -24,23 +15,28 @@ underlying dataset once no matter how many benchmarks consume it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import os
 import pathlib
-import time
-from typing import Any, Dict, List, Optional
+from typing import Any
 
 import pytest
 
-from repro.perf import Profile, ProfileStore, current_sha, machine_fingerprint
-from repro.perf.profile import HIGHER, LOWER, jsonable  # noqa: F401  (re-export)
-
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: ``REPRO_PERF_SMOKE=1`` trims the gated families to their CI shape:
-#: fewer shard counts, fewer rounds — fast enough for a PR gate while
-#: still exercising the same code paths (see docs/perf.md).
-PERF_SMOKE = os.environ.get("REPRO_PERF_SMOKE", "") not in ("", "0")
+
+def jsonable(obj: Any) -> Any:
+    """Coerce a benchmark result to plain JSON types: dataclasses become
+    dicts, and dict keys (cache sizes, policy names) become strings."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+        }
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    return obj
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -85,100 +81,7 @@ def save_table(results_dir):
     return _save
 
 
-@pytest.fixture
-def save_json(results_dir):
-    """Merge a raw result structure into ``results/<name>.json``.
-
-    Merging (rather than overwriting) lets several tests of one module
-    contribute sections to the same record — e.g. the in-process and TCP
-    halves of the server-throughput file — regardless of which subset ran.
-    """
-
-    def _save(name: str, data: Dict[str, Any]) -> None:
-        path = results_dir / f"{name}.json"
-        record: Dict[str, Any] = {}
-        if path.exists():
-            try:
-                existing = json.loads(path.read_text())
-                if isinstance(existing, dict):
-                    record = existing
-            except ValueError:
-                pass
-        record.update(jsonable(data))
-        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-
-    return _save
-
-
-class PerfRecorder:
-    """The mutable face of the module's :class:`~repro.perf.Profile`.
-
-    Benchmarks call :meth:`metric` with scalars they already computed (a
-    throughput, a miss-ratio, a speedup); the fixture saves the profile
-    once per module on teardown.  Failed benchmarks simply never record,
-    so partial profiles hold only what actually ran.
-    """
-
-    def __init__(self, family: str) -> None:
-        self.profile = Profile(
-            family=family, sha="", machine=machine_fingerprint()
-        )
-
-    def metric(
-        self,
-        name: str,
-        value: Optional[float],
-        unit: str,
-        direction: str = HIGHER,
-        samples: Optional[List[float]] = None,
-        params: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.profile.add(name, value, unit, direction, samples=samples, params=params)
-
-    def runtime(self, name: str, seconds: float) -> None:
-        """Record a wall-clock runtime (direction: lower is better)."""
-        self.metric(name, seconds, "s", LOWER)
-
-
-@pytest.fixture(scope="module")
-def perf_profile(request) -> PerfRecorder:
-    """Per-module metric recorder, saved to the profile store on teardown.
-
-    The family name is the module basename minus ``test_``:
-    ``test_micro_perf.py`` files under family ``micro_perf``.
-    """
-    module_name = pathlib.Path(request.module.__file__).stem
-    family = module_name[5:] if module_name.startswith("test_") else module_name
-    recorder = PerfRecorder(family)
-    yield recorder
-    if not recorder.profile.metrics:
-        return
-    store = ProfileStore()
-    recorder.profile.sha = current_sha(store.repo_root)
-    path = store.record(recorder.profile)
-    print(f"\n[perf] {family}: {len(recorder.profile.metrics)} metric(s) -> {path}")
-
-
 def run_once(benchmark, fn, *args, **kwargs):
     """Benchmark a full experiment exactly once (they take seconds to
     minutes; statistical repetition adds nothing to a deterministic sim)."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def bench_seconds(benchmark) -> List[float]:
-    """The raw per-round wall times pytest-benchmark collected (sorted)."""
-    stats = benchmark.stats.stats
-    return [float(t) for t in stats.sorted_data]
-
-
-def ops_per_sec(benchmark, n_ops: int) -> List[float]:
-    """Per-round throughput samples for a benchmark of ``n_ops`` operations."""
-    return [n_ops / t for t in bench_seconds(benchmark) if t > 0]
-
-
-def timed(fn, *args, **kwargs):
-    """``(result, seconds)`` of one call — for benchmarks that measure
-    sub-phases themselves rather than through pytest-benchmark."""
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - start

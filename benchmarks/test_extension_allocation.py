@@ -10,7 +10,7 @@ working set only when the kernel remembers the fool's mistakes.
 
 import pytest
 
-from conftest import bench_seconds, run_once
+from conftest import run_once
 from repro.core.allocation import LRU_S, LRU_SP
 from repro.harness import report
 from repro.kernel.system import MachineConfig, System
@@ -30,7 +30,7 @@ def _allocations(policy):
     return avg(fg.pid), avg(bg.pid)
 
 
-def test_allocation_fairness_benchmark(benchmark, save_table, perf_profile):
+def test_allocation_fairness_benchmark(benchmark, save_table):
     def experiment():
         out = {}
         for name, policy in (("lru-s", LRU_S), ("lru-sp", LRU_SP)):
@@ -43,10 +43,6 @@ def test_allocation_fairness_benchmark(benchmark, save_table, perf_profile):
     save_table("extension_allocation", report.render_ablation(
         data, "Mid-run frame allocation (of 819): oblivious read490 vs foolish read300"), data=data)
 
-    perf_profile.runtime("runtime_s", min(bench_seconds(benchmark)))
-    perf_profile.metric(
-        "lru_sp_reader490_frames", float(data["lru-sp reader490"][1]), "frames"
-    )
 
     # With placeholders the oblivious reader holds essentially its full
     # 490-frame working set; without, the fool erodes it substantially.

@@ -10,7 +10,7 @@ everything), and (c) the dynamic keep/discard strategy.
 
 import pytest
 
-from conftest import LOWER, bench_seconds, run_once
+from conftest import run_once
 from repro.core.allocation import GLOBAL_LRU, LRU_SP
 from repro.harness import report
 from repro.kernel.system import MachineConfig, System
@@ -25,7 +25,7 @@ def _run(smart: bool, dynamic: bool):
     return r.proc("csm")
 
 
-def test_mixed_queries_benchmark(benchmark, save_table, perf_profile):
+def test_mixed_queries_benchmark(benchmark, save_table):
     def experiment():
         oblivious = _run(smart=False, dynamic=False)
         static = _run(smart=True, dynamic=False)
@@ -41,10 +41,6 @@ def test_mixed_queries_benchmark(benchmark, save_table, perf_profile):
         data, "Mixed cscope queries @ 6.4MB: static vs dynamic priorities"), data=data)
 
     oblivious, static, dynamic = data["oblivious"], data["static-mru"], data["dynamic-repri"]
-    perf_profile.runtime("runtime_s", min(bench_seconds(benchmark)))
-    perf_profile.metric(
-        "dynamic_vs_oblivious_elapsed_ratio", dynamic[0] / oblivious[0], "ratio", LOWER
-    )
     # Any application control beats the original kernel...
     assert static[1] < oblivious[1]
     assert dynamic[1] <= static[1]

@@ -9,7 +9,7 @@ to a two-hand clock.
 
 import pytest
 
-from conftest import LOWER, bench_seconds, run_once
+from conftest import run_once
 from repro.core.allocation import GLOBAL_LRU, LRU_SP
 from repro.harness import report
 from repro.harness.sweep import policy_zoo_sweep
@@ -19,7 +19,7 @@ PAPER_FRAMES = 819  # 6.4 MB of 8 KB frames
 ZOO_APPS = ("din", "cs1", "gli", "pjn")
 
 
-def test_policy_zoo_benchmark(benchmark, save_table, perf_profile):
+def test_policy_zoo_benchmark(benchmark, save_table):
     def experiment():
         return {kind: policy_zoo_sweep(kind, PAPER_FRAMES) for kind in ZOO_APPS}
 
@@ -47,10 +47,6 @@ def test_policy_zoo_benchmark(benchmark, save_table, perf_profile):
     for kind in ("din", "cs1"):
         assert data[kind]["lru-sp"] == data[kind]["mru"]
 
-    perf_profile.runtime("zoo_runtime_s", min(bench_seconds(benchmark)))
-    perf_profile.metric(
-        "din_lru_sp_misses", float(data["din"]["lru-sp"]), "misses", LOWER
-    )
 
 
 def _vm_workload(vm, smart: bool) -> int:
@@ -68,7 +64,7 @@ def _vm_workload(vm, smart: bool) -> int:
     return vm.faults(1)
 
 
-def test_vm_two_level_benchmark(benchmark, save_table, perf_profile):
+def test_vm_two_level_benchmark(benchmark, save_table):
     def experiment():
         plain = _vm_workload(VmSystem(16, policy=GLOBAL_LRU, spread=4), smart=False)
         advised = _vm_workload(VmSystem(16, policy=LRU_SP, spread=4), smart=True)
@@ -86,4 +82,3 @@ def test_vm_two_level_benchmark(benchmark, save_table, perf_profile):
     floor = 6 * 64 + 8
     assert advised == floor
     assert plain >= floor + 5 * 8  # ~40 avoidable index refaults paid
-    perf_profile.metric("vm_advised_faults", float(advised), "faults", LOWER)

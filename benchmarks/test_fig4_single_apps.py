@@ -11,7 +11,7 @@ shapes:
 
 import pytest
 
-from conftest import LOWER, bench_seconds, run_once
+from conftest import run_once
 from repro.harness import report
 from repro.harness.experiments import fig4_single_apps
 from repro.harness.paperdata import APP_ORDER, CACHE_SIZES_MB
@@ -22,7 +22,7 @@ def fig4():
     return fig4_single_apps(APP_ORDER, CACHE_SIZES_MB)
 
 
-def test_fig4_benchmark(benchmark, save_table, perf_profile):
+def test_fig4_benchmark(benchmark, save_table):
     data = run_once(benchmark, fig4_single_apps, APP_ORDER, CACHE_SIZES_MB)
     save_table("fig4", report.render_fig4(data), data=data)
     # Core shapes, asserted here too so --benchmark-only runs still verify
@@ -36,9 +36,6 @@ def test_fig4_benchmark(benchmark, save_table, perf_profile):
             assert data[app][mb].elapsed_ratio <= 1.05, (app, mb)
     best_io = min(data[a][mb].io_ratio for a in APP_ORDER for mb in CACHE_SIZES_MB)
     assert best_io < 0.35
-    perf_profile.runtime("runtime_s", min(bench_seconds(benchmark)))
-    perf_profile.metric("best_io_ratio", best_io, "ratio", LOWER)
-    perf_profile.metric("din_6_4_io_ratio", data["din"][6.4].io_ratio, "ratio", LOWER)
 
 
 class TestShapes:

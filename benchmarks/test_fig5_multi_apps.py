@@ -7,7 +7,7 @@ increases" — total elapsed-time reductions up to ~30 %.
 
 import pytest
 
-from conftest import LOWER, bench_seconds, run_once
+from conftest import run_once
 from repro.harness import report
 from repro.harness.experiments import fig5_multi_apps
 from repro.harness.paperdata import CACHE_SIZES_MB, FIG5_MIXES
@@ -18,7 +18,7 @@ def fig5():
     return fig5_multi_apps(FIG5_MIXES, CACHE_SIZES_MB)
 
 
-def test_fig5_benchmark(benchmark, save_table, perf_profile):
+def test_fig5_benchmark(benchmark, save_table):
     data = run_once(benchmark, fig5_multi_apps, FIG5_MIXES, CACHE_SIZES_MB)
     save_table("fig5", report.render_mixes(data, "Figure 5"), data=data)
     for mix in FIG5_MIXES:
@@ -27,8 +27,6 @@ def test_fig5_benchmark(benchmark, save_table, perf_profile):
             assert data[mix][mb].elapsed_ratio < 1.0, (mix, mb)
     best = min(data[m][16.0].elapsed_ratio for m in FIG5_MIXES)
     assert best < 0.8
-    perf_profile.runtime("runtime_s", min(bench_seconds(benchmark)))
-    perf_profile.metric("best_elapsed_ratio_16mb", best, "ratio", LOWER)
 
 
 class TestShapes:

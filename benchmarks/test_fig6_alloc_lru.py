@@ -7,7 +7,7 @@ Ratios are ALLOC-LRU normalized to LRU-SP, so >1 means LRU-SP wins.
 
 import pytest
 
-from conftest import bench_seconds, run_once
+from conftest import run_once
 from repro.harness import report
 from repro.harness.experiments import fig6_alloc_lru
 from repro.harness.paperdata import CACHE_SIZES_MB, FIG6_MIXES
@@ -18,17 +18,11 @@ def fig6():
     return fig6_alloc_lru(FIG6_MIXES, CACHE_SIZES_MB)
 
 
-def test_fig6_benchmark(benchmark, save_table, perf_profile):
+def test_fig6_benchmark(benchmark, save_table):
     data = run_once(benchmark, fig6_alloc_lru, FIG6_MIXES, CACHE_SIZES_MB)
     save_table("fig6", report.render_mixes(data, "Figure 6"), data=data)
     for mix in FIG6_MIXES:
         assert data[mix][6.4].io_ratio > 1.0, mix
-    perf_profile.runtime("runtime_s", min(bench_seconds(benchmark)))
-    perf_profile.metric(
-        "worst_alloc_lru_io_ratio_6_4mb",
-        max(data[m][6.4].io_ratio for m in FIG6_MIXES),
-        "ratio",
-    )
 
 
 class TestShapes:

@@ -5,15 +5,11 @@ data structures honest about their O(1)/O(log n) claims and give a
 throughput baseline for the simulator itself.  Unlike the table
 benchmarks, these run multiple rounds and report real statistics.
 
-Every test files its per-round throughput samples into the ``micro_perf``
-perf profile; the two BUF access-loop metrics, the event engine and the
-whole simulated machine (``system_accesses_per_sec``) are gated by
-``repro-accfc perf check`` (see repro/perf/families.py).
+Nothing here is a timing gate: on a shared box two identical runs of one
+loop differ by tens of percent.  Compare two commits locally with
+pytest-benchmark's own ``--benchmark-save`` / ``--benchmark-compare``
+(see docs/perf.md).
 """
-
-import pytest
-
-from conftest import LOWER, PERF_SMOKE, ops_per_sec
 
 from repro.analysis.stackdist import stack_distances
 from repro.core.acm import ACM
@@ -30,14 +26,7 @@ N = 10_000
 FRAMES = 819
 
 
-def _throughput(perf_profile, benchmark, name, **params):
-    samples = ops_per_sec(benchmark, N)
-    perf_profile.metric(
-        name, max(samples), "ops/s", samples=samples, params={"n": N, **params}
-    )
-
-
-def test_engine_event_throughput(benchmark, perf_profile):
+def test_engine_event_throughput(benchmark):
     """Schedule-and-fire cycles per second on the event heap."""
 
     def run():
@@ -48,42 +37,29 @@ def test_engine_event_throughput(benchmark, perf_profile):
         return eng.events_fired
 
     assert benchmark(run) == N
-    _throughput(perf_profile, benchmark, "engine_events_per_sec")
 
 
-def test_system_access_throughput(benchmark, perf_profile):
+def test_system_access_throughput(benchmark):
     """Block accesses per second through the whole simulated machine:
     ``System.run`` on the Fig. 5 ``cs2+gli`` mix under LRU-SP with smart
     managers (engine, CPU, disks, bus, filesystem, BUF/ACM — the shell every
     figure and table runs through).  Building the machine is not timed."""
-    params = {"mix": "cs2+gli", "cache_mb": 6.4, "policy": LRU_SP.name}
     machines = []
 
     def build():
-        system = System(MachineConfig(cache_mb=params["cache_mb"], policy=LRU_SP))
-        for kind in params["mix"].split("+"):
+        system = System(MachineConfig(cache_mb=6.4, policy=LRU_SP))
+        for kind in ("cs2", "gli"):
             app(kind, smart=True).build().spawn(system)
         machines.append(system)
         return (system,), {}
 
-    benchmark.pedantic(System.run, setup=build, rounds=3 if PERF_SMOKE else 5)
+    benchmark.pedantic(System.run, setup=build, rounds=3)
     system = machines[-1]
-    accesses = system.cache.stats.accesses
-    assert accesses == 21_498 and system.cache.stats.hits == 20_285
-    samples = ops_per_sec(benchmark, accesses)
-    perf_profile.metric(
-        "system_accesses_per_sec", max(samples), "ops/s", samples=samples, params=params
-    )
-    perf_profile.metric(
-        "system_events_per_access",
-        system.engine.events_fired / accesses,
-        "events/access",
-        LOWER,
-        params=params,
-    )
+    assert system.cache.stats.accesses == 21_498
+    assert system.cache.stats.hits == 20_285
 
 
-def test_lrulist_churn(benchmark, perf_profile):
+def test_lrulist_churn(benchmark):
     """push / move_to_mru / remove cycles on the O(1) list."""
     items = list(range(512))
 
@@ -98,10 +74,9 @@ def test_lrulist_churn(benchmark, perf_profile):
         return len(lst)
 
     assert benchmark(run) == 0
-    _throughput(perf_profile, benchmark, "lrulist_churn_ops_per_sec", items=512)
 
 
-def test_lrulist_swap(benchmark, perf_profile):
+def test_lrulist_swap(benchmark):
     """The LRU-SP swap primitive."""
     items = list(range(512))
 
@@ -114,10 +89,9 @@ def test_lrulist_swap(benchmark, perf_profile):
         return len(lst)
 
     assert benchmark(run) == 512
-    _throughput(perf_profile, benchmark, "lrulist_swap_ops_per_sec", items=512)
 
 
-def test_cache_access_throughput_global_lru(benchmark, perf_profile):
+def test_cache_access_throughput_global_lru(benchmark):
     """Block accesses per second through BUF (no managers)."""
 
     def run():
@@ -129,12 +103,9 @@ def test_cache_access_throughput_global_lru(benchmark, perf_profile):
         return cache.stats.accesses
 
     assert benchmark(run) == N
-    _throughput(
-        perf_profile, benchmark, "buf_access_global_lru_ops_per_sec", frames=FRAMES
-    )
 
 
-def test_cache_access_throughput_lru_sp_managed(benchmark, perf_profile):
+def test_cache_access_throughput_lru_sp_managed(benchmark):
     """Same, with an MRU manager being consulted (the worst-case path:
     overrule + swap + placeholder on most misses)."""
 
@@ -150,12 +121,9 @@ def test_cache_access_throughput_lru_sp_managed(benchmark, perf_profile):
         return cache.stats.accesses
 
     assert benchmark(run) == N
-    _throughput(
-        perf_profile, benchmark, "buf_access_lru_sp_ops_per_sec", frames=FRAMES
-    )
 
 
-def test_trace_replay_throughput(benchmark, perf_profile):
+def test_trace_replay_throughput(benchmark):
     """End-to-end replay speed (events/s through the trace driver)."""
     events = [AccessRecord(1, "f", (i * 17) % 2000) for i in range(N)]
 
@@ -163,10 +131,9 @@ def test_trace_replay_throughput(benchmark, perf_profile):
         return replay(events, nframes=FRAMES, policy=GLOBAL_LRU).accesses
 
     assert benchmark(run) == N
-    _throughput(perf_profile, benchmark, "trace_replay_ops_per_sec", frames=FRAMES)
 
 
-def test_stack_distance_throughput(benchmark, perf_profile):
+def test_stack_distance_throughput(benchmark):
     """Mattson pass speed (O(n log n) Fenwick updates)."""
     trace = [(i * 17) % 2000 for i in range(N)]
 
@@ -174,4 +141,3 @@ def test_stack_distance_throughput(benchmark, perf_profile):
         return stack_distances(trace).nrefs
 
     assert benchmark(run) == N
-    _throughput(perf_profile, benchmark, "stack_distance_refs_per_sec")

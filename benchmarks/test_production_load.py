@@ -5,35 +5,29 @@ Performance benchmark (not reproduction).  The :class:`LoadDriver`
 stands up a ``--subprocess`` cluster — real processes, real TCP, the
 negotiated binary wire — and drives it closed-loop with pipelined
 concurrent sessions over a heavy-tailed keyspace, exactly the shape
-``repro-accfc load`` runs by hand.  Two things can silently regress on
-this path and are therefore gated by ``repro-accfc perf check``:
+``repro-accfc load`` runs by hand.  The test asserts the report schema
+and that every op completed; throughput, latency and hit ratio are
+printed and saved, not gated (the ``bench`` workloads give the serving
+numbers).
 
-* ``sustained_ops_per_sec`` — end-to-end cluster throughput including
-  session fan-out, per-shard batching and the wire round-trip;
-* ``hit_ratio`` — the cache's absorption of Zipf skew at a fixed
-  cache-to-keyspace ratio (a replacement-policy or admission regression
-  shows up here before any latency chart moves).
+The fleet is 4 shards / 64 sessions, the CI shape.  The same run at 16
+shards × 1024 sessions is::
 
-Tail latency (p50/p99 from the client-side telemetry histogram) is
-recorded un-gated: on a shared runner the tail is too noisy to fail CI,
-but ``repro-accfc perf diff`` still tracks it run over run.
-
-Under ``REPRO_PERF_SMOKE=1`` the fleet shrinks to 4 shards / 64
-sessions (the CI shape); the full run drives 16 shards with 1024
-concurrent sessions.
+    repro-accfc load --shards 16 --sessions 1024 --paths 50000 \
+        --blocks-per-file 4 --ops 12000 --seed 17 --cache-mb 2 --closed-loop
 """
 
 import asyncio
 
-from conftest import PERF_SMOKE, run_once
+from conftest import run_once
 
 from repro.harness.load import LoadDriver, validate_report
 from repro.workloads.production import etc_profile
 
-SHARDS = 4 if PERF_SMOKE else 16
-SESSIONS = 64 if PERF_SMOKE else 1024
-OPS = 2_000 if PERF_SMOKE else 12_000
-PATHS = 4_000 if PERF_SMOKE else 50_000
+SHARDS = 4
+SESSIONS = 64
+OPS = 2_000
+PATHS = 4_000
 BLOCKS_PER_FILE = 4
 SKEW = 0.99
 SEED = 17
@@ -56,7 +50,7 @@ def _drive():
     return asyncio.run(driver.run())
 
 
-def test_production_load(benchmark, perf_profile, save_json):
+def test_production_load(benchmark, save_table):
     report = run_once(benchmark, _drive)
 
     validate_report(report)
@@ -75,27 +69,13 @@ def test_production_load(benchmark, perf_profile, save_json):
         "cache_mb": CACHE_MB,
         "spawn": "subprocess",
     }
-    perf_profile.metric(
-        "sustained_ops_per_sec",
-        report["throughput"]["ops_per_sec"],
-        "ops/s",
-        params=params,
-    )
-    perf_profile.metric(
-        "hit_ratio", report["hit_ratio"]["overall"], "ratio", params=params
-    )
-    perf_profile.metric(
-        "p50_latency_s", report["latency"]["p50_s"], "s", "lower", params=params
-    )
-    perf_profile.metric(
-        "p99_latency_s", report["latency"]["p99_s"], "s", "lower", params=params
-    )
 
-    save_json("production_load", {"workload": params, "report": report})
-    print(
-        f"\nproduction load ({SHARDS} shards, {SESSIONS} sessions): "
+    save_table(
+        "production_load",
+        f"production load ({SHARDS} shards, {SESSIONS} sessions): "
         f"{report['throughput']['ops_per_sec']:,.0f} ops/s, "
         f"p50 {report['latency']['p50_s'] * 1e3:.2f}ms, "
         f"p99 {report['latency']['p99_s'] * 1e3:.2f}ms, "
-        f"hit ratio {report['hit_ratio']['overall']:.3f}"
+        f"hit ratio {report['hit_ratio']['overall']:.3f}",
+        data={"workload": params, "report": report},
     )

@@ -11,7 +11,7 @@ oblivious (LRU) or foolish (MRU), under LRU-SP and under LRU-S
 
 import pytest
 
-from conftest import bench_seconds, run_once
+from conftest import run_once
 from repro.harness import report
 from repro.harness.experiments import table1_placeholders
 from repro.harness.paperdata import TABLE1_READN
@@ -22,18 +22,12 @@ def table1():
     return table1_placeholders(TABLE1_READN, 6.4)
 
 
-def test_table1_benchmark(benchmark, save_table, perf_profile):
+def test_table1_benchmark(benchmark, save_table):
     data = run_once(benchmark, table1_placeholders, TABLE1_READN, 6.4)
     save_table("table1", "Table 1: placeholder protection\n" + report.render_table1(data), data=data)
     for n in (490, 500):
         assert data["unprotected"][n].block_ios > data["oblivious"][n].block_ios * 1.5
         assert data["protected"][n].block_ios <= data["oblivious"][n].block_ios * 1.1
-    perf_profile.runtime("runtime_s", min(bench_seconds(benchmark)))
-    perf_profile.metric(
-        "unprotected_io_inflation_500",
-        data["unprotected"][500].block_ios / data["oblivious"][500].block_ios,
-        "x",
-    )
 
 
 class TestShapes:

@@ -8,7 +8,7 @@ disk contention, not stolen cache frames.
 
 import pytest
 
-from conftest import bench_seconds, run_once
+from conftest import run_once
 from repro.harness import report
 from repro.harness.experiments import table2_foolish
 from repro.harness.paperdata import TABLE2_APPS
@@ -19,21 +19,12 @@ def table2():
     return table2_foolish(TABLE2_APPS, 6.4)
 
 
-def test_table2_benchmark(benchmark, save_table, perf_profile):
+def test_table2_benchmark(benchmark, save_table):
     data = run_once(benchmark, table2_foolish, TABLE2_APPS, 6.4)
     save_table("table2", "Table 2: effect of a foolish process\n" + report.render_table2(data), data=data)
     for app in TABLE2_APPS:
         assert data["foolish"][app].elapsed > data["oblivious"][app].elapsed * 1.05, app
         assert data["foolish"][app].block_ios <= data["oblivious"][app].block_ios * 1.15, app
-    perf_profile.runtime("runtime_s", min(bench_seconds(benchmark)))
-    perf_profile.metric(
-        "max_foolish_slowdown",
-        max(
-            data["foolish"][app].elapsed / data["oblivious"][app].elapsed
-            for app in TABLE2_APPS
-        ),
-        "x",
-    )
 
 
 class TestShapes:

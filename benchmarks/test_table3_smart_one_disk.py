@@ -8,7 +8,7 @@ means a shorter disk queue for everyone.
 
 import pytest
 
-from conftest import LOWER, bench_seconds, run_once
+from conftest import run_once
 from repro.harness import report
 from repro.harness.experiments import table3_smart_one_disk
 from repro.harness.paperdata import PAPER_TABLE3, TABLE2_APPS
@@ -19,7 +19,7 @@ def table3():
     return table3_smart_one_disk(TABLE2_APPS, 6.4)
 
 
-def test_table3_benchmark(benchmark, save_table, perf_profile):
+def test_table3_benchmark(benchmark, save_table):
     data = run_once(benchmark, table3_smart_one_disk, TABLE2_APPS, 6.4)
     save_table(
         "table3",
@@ -29,13 +29,6 @@ def test_table3_benchmark(benchmark, save_table, perf_profile):
     )
     for app in TABLE2_APPS:
         assert data["smart"][app].read300_elapsed <= data["oblivious"][app].read300_elapsed * 1.1
-    perf_profile.runtime("runtime_s", min(bench_seconds(benchmark)))
-    perf_profile.metric(
-        "din_smart_read300_elapsed_ratio",
-        data["smart"]["din"].read300_elapsed / data["oblivious"]["din"].read300_elapsed,
-        "ratio",
-        LOWER,
-    )
 
 
 class TestShapes:

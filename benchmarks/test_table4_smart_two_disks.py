@@ -7,7 +7,7 @@ Table 3 variation was disk interference, not cache stealing.
 
 import pytest
 
-from conftest import LOWER, bench_seconds, run_once
+from conftest import run_once
 from repro.harness import report
 from repro.harness.experiments import table4_smart_two_disks
 from repro.harness.paperdata import PAPER_TABLE4, TABLE2_APPS
@@ -18,7 +18,7 @@ def table4():
     return table4_smart_two_disks(TABLE2_APPS, 6.4)
 
 
-def test_table4_benchmark(benchmark, save_table, perf_profile):
+def test_table4_benchmark(benchmark, save_table):
     data = run_once(benchmark, table4_smart_two_disks, TABLE2_APPS, 6.4)
     save_table(
         "table4",
@@ -28,17 +28,6 @@ def test_table4_benchmark(benchmark, save_table, perf_profile):
     for mode in ("oblivious", "smart"):
         for app in TABLE2_APPS:
             assert data[mode][app].read300_elapsed < 35, (mode, app)
-    perf_profile.runtime("runtime_s", min(bench_seconds(benchmark)))
-    perf_profile.metric(
-        "worst_read300_elapsed_s",
-        max(
-            data[mode][app].read300_elapsed
-            for mode in ("oblivious", "smart")
-            for app in TABLE2_APPS
-        ),
-        "s",
-        LOWER,
-    )
 
 
 class TestShapes:

@@ -7,7 +7,7 @@ paper's raw numbers show (e.g. the original kernel's din collapses from
 
 import pytest
 
-from conftest import LOWER, bench_seconds, run_once
+from conftest import run_once
 from repro.harness import report
 from repro.harness.experiments import fig4_single_apps
 from repro.harness.paperdata import APP_ORDER, CACHE_SIZES_MB
@@ -18,13 +18,9 @@ def data():
     return fig4_single_apps(APP_ORDER, CACHE_SIZES_MB)
 
 
-def test_table5_benchmark(benchmark, save_table, data, perf_profile):
+def test_table5_benchmark(benchmark, save_table, data):
     table = run_once(benchmark, fig4_single_apps, APP_ORDER, CACHE_SIZES_MB)
     save_table("table5", "Table 5: elapsed time (s)\n" + report.render_table56(table, "elapsed"), data=table)
-    perf_profile.runtime("runtime_s", min(bench_seconds(benchmark)))
-    perf_profile.metric(
-        "din_sp_elapsed_6_4mb_s", table["din"][6.4].sp_elapsed, "s", LOWER
-    )
 
 
 class TestElapsedTrends:

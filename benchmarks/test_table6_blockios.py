@@ -7,7 +7,7 @@ this table asserts tighter bands than the ratio checks in fig4.
 
 import pytest
 
-from conftest import LOWER, bench_seconds, run_once
+from conftest import run_once
 from repro.harness import report
 from repro.harness.experiments import fig4_single_apps
 from repro.harness.paperdata import APP_ORDER, CACHE_SIZES_MB, PAPER_BLOCK_IOS
@@ -18,13 +18,9 @@ def data():
     return fig4_single_apps(APP_ORDER, CACHE_SIZES_MB)
 
 
-def test_table6_benchmark(benchmark, save_table, data, perf_profile):
+def test_table6_benchmark(benchmark, save_table, data):
     table = run_once(benchmark, fig4_single_apps, APP_ORDER, CACHE_SIZES_MB)
     save_table("table6", "Table 6: block I/Os\n" + report.render_table56(table, "ios"), data=table)
-    perf_profile.runtime("runtime_s", min(bench_seconds(benchmark)))
-    perf_profile.metric(
-        "din_sp_ios_6_4mb", float(table["din"][6.4].sp_ios), "blocks", LOWER
-    )
 
 
 class TestAbsoluteCounts:

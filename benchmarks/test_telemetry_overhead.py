@@ -10,8 +10,6 @@ standalone (``pytest benchmarks/test_telemetry_overhead.py``).
 
 import time
 
-from conftest import LOWER
-
 from repro.core.acm import ACM
 from repro.core.buffercache import BufferCache
 from repro.core.allocation import GLOBAL_LRU, LRU_SP
@@ -56,13 +54,9 @@ def measure(policy, managed):
             "metrics_ratio": metrics_on / off, "traced_ratio": traced / off}
 
 
-def test_metrics_overhead_within_budget(save_table, perf_profile):
+def test_metrics_overhead_within_budget(save_table):
     plain = measure(GLOBAL_LRU, managed=False)
     managed = measure(LRU_SP, managed=True)
-    params = {"n": N, "rounds": ROUNDS, "budget": BUDGET}
-    for name, m in (("global_lru", plain), ("lru_sp", managed)):
-        perf_profile.metric(f"metrics_ratio_{name}", m["metrics_ratio"], "x", LOWER, params=params)
-        perf_profile.metric(f"traced_ratio_{name}", m["traced_ratio"], "x", LOWER, params=params)
     lines = [
         "Telemetry overhead on the BUF hot loop (min of %d × %d accesses)" % (ROUNDS, N),
         "",

@@ -15,9 +15,8 @@ Section 4:
   protocol), R004 (no mutable defaults; config dataclasses frozen),
   R005 (sim ops are interpreted only by the kernel), R006–R009 (layer
   discipline: the kernel gate, typed I/O errors, telemetry, the cluster's
-  one daemon factory), R010 (suppression/baseline hygiene), R011
-  (benchmark results go through the perf store) and R014 (seeded,
-  registered workload generators).  Wire verbs need no rule: the
+  one daemon factory), R010 (suppression/baseline hygiene) and R014
+  (seeded, registered workload generators).  Wire verbs need no rule: the
   protocol declares each once, in one table.
 * :mod:`repro.check.flow` — a **flow-sensitive analyzer** over the async
   server/cluster layer: per-function CFGs with ``await`` points as

@@ -45,13 +45,6 @@ R009  Within ``repro/cluster`` only the supervisor may instantiate
 R010  Suppression and baseline hygiene (see :mod:`repro.check.manager`):
       ``# repro: allow(...)`` comments must name valid rules and give a
       reason, and baseline entries must still match a live finding.
-R011  Benchmark results flow through the performance version system:
-      files under ``benchmarks/`` (``conftest.py`` excepted) may not
-      write JSON or text results ad hoc (``json.dump``, ``.write_text``,
-      ``open(..., "w")``) — emitters go through the shared ``save_table``
-      / ``save_json`` fixtures and the ``perf_profile`` store
-      (:mod:`repro.perf`), so every run lands in the versioned
-      ``.perf/profiles/<sha>/`` trajectory with a validated schema.
 R014  Workload generators are reproducible: under ``repro/workloads/``
       every random draw goes through a seeded ``random.Random`` instance
       — the module-level ``random.*`` functions (and an unseeded
@@ -73,7 +66,7 @@ Usage::
 
     repro-lint src/                      # lint a source tree containing repro/
     repro-lint src/repro/core            # or any file/subpackage inside it
-    repro-lint src/ benchmarks/          # include the benchmark emitters (R011)
+    repro-lint src/ benchmarks/          # include the benchmark modules
     repro-lint --select F001,F005 src/   # only some rules
     repro-lint --format github --json findings.json src/
     python -m repro.check.lint src/
@@ -168,22 +161,13 @@ COUNTER_DICT_EXEMPT_DIRS = ("repro/telemetry/",)
 #: ...and print() is reserved for the CLI/report layers.
 PRINT_EXEMPT_DIRS = ("repro/telemetry/", "repro/harness/", "repro/check/")
 PRINT_EXEMPT_FILES = frozenset(
-    # serve/cluster/perf CLI status lines
-    {"repro/server/daemon.py", "repro/cluster/cli.py", "repro/perf/cli.py"}
+    # serve/cluster CLI status lines
+    {"repro/server/daemon.py", "repro/cluster/cli.py"}
 )
 
 #: R009: the cluster's single daemon factory.
 CLUSTER_DIR = "repro/cluster/"
 CLUSTER_DAEMON_FACTORY = "repro/cluster/supervisor.py"
-
-#: R011: benchmark emitters persist results only through the shared
-#: conftest fixtures (save_table/save_json) and the repro.perf profile
-#: store — never with their own file writes.  conftest.py is the funnel
-#: and therefore exempt.
-BENCHMARK_DIR_NAME = "benchmarks"
-BENCHMARK_EXEMPT_BASENAMES = frozenset({"conftest.py"})
-BENCHMARK_JSON_WRITERS = frozenset({"json.dump", "json.dumps"})
-BENCHMARK_WRITE_ATTRS = frozenset({"write_text", "write_bytes"})
 
 #: R014: the workload generators are the one place the repository *does*
 #: allow randomness — and only through seeded random.Random instances.
@@ -238,22 +222,13 @@ def _local_dict_names(func: ast.AST) -> Set[str]:
 
 
 class _FileLinter(ast.NodeVisitor):
-    """Runs the per-file rules (R001, R002, R004–R009, R011 and the RNG
-    half of R014) over one module."""
+    """Runs the per-file rules (R001, R002, R004–R009 and the RNG half of
+    R014) over one module."""
 
     def __init__(self, relpath: str, file_path: str = "") -> None:
         self.relpath = relpath
         self.file_path = file_path
         self.findings: List[Finding] = []
-        # R011 keys off the real path when available: linting benchmarks/
-        # directly roots relpaths inside it, losing the "benchmarks/"
-        # prefix the relpath-based rules rely on.
-        probe = Path(file_path or relpath)
-        self._bench_file = (
-            BENCHMARK_DIR_NAME in probe.parts
-            and probe.name.endswith(".py")
-            and probe.name not in BENCHMARK_EXEMPT_BASENAMES
-        )
         #: per-enclosing-function sets of locals bound to fresh dicts —
         #: scratch dicts a function assembles and returns are not the
         #: long-lived ad-hoc counters R008 is about
@@ -340,8 +315,6 @@ class _FileLinter(ast.NodeVisitor):
                     "the ring, the health loop and the cluster telemetry always "
                     "know the shard exists",
                 )
-        if self._bench_file:
-            self._check_benchmark_write(node, func)
         if (
             isinstance(func, ast.Name)
             and func.id == "isinstance"
@@ -360,34 +333,6 @@ class _FileLinter(ast.NodeVisitor):
                         "ops are consumed via the engine (repro/kernel/system.py)",
                     )
         self.generic_visit(node)
-
-    # R011: benchmark files must emit through the perf store -------------
-
-    def _check_benchmark_write(self, node: ast.Call, func: ast.expr) -> None:
-        how: Optional[str] = None
-        dotted = _dotted(func)
-        if dotted in BENCHMARK_JSON_WRITERS:
-            how = f"{dotted}()"
-        elif isinstance(func, ast.Attribute) and func.attr in BENCHMARK_WRITE_ATTRS:
-            how = f".{func.attr}()"
-        elif isinstance(func, ast.Name) and func.id == "open":
-            mode = None
-            if len(node.args) >= 2 and isinstance(node.args[1], ast.Constant):
-                mode = node.args[1].value
-            for kw in node.keywords:
-                if kw.arg == "mode" and isinstance(kw.value, ast.Constant):
-                    mode = kw.value.value
-            if isinstance(mode, str) and any(c in mode for c in "wax"):
-                how = f"open(..., {mode!r})"
-        if how is not None:
-            self._add(
-                "R011",
-                node,
-                f"ad-hoc result write {how} in a benchmark file — results "
-                "flow through the conftest save_table/save_json fixtures and "
-                "the perf_profile store (repro.perf), so every run lands in "
-                "the versioned .perf/profiles/<sha>/ trajectory",
-            )
 
     # R006: server package layering -------------------------------------
 
@@ -595,7 +540,7 @@ class _FileLinter(ast.NodeVisitor):
 
 
 def _rules_pass(ctx: FileContext) -> List[Finding]:
-    """R001/R002/R004–R009, R011 and the RNG half of R014 over one parsed
+    """R001/R002/R004–R009 and the RNG half of R014 over one parsed
     module."""
     linter = _FileLinter(ctx.relpath, ctx.file_path)
     linter.visit(ctx.tree)
@@ -773,8 +718,8 @@ def check_workload_registry(root: Path) -> List[Finding]:
     """R014 (registry half): every concrete ``*Pattern`` class, Workload
     subclass and ``*_profile`` factory defined in the production module
     must be referenced from the workload registry's dict literals —
-    otherwise the pattern exists but no profile name, CLI flag or perf
-    harness can reach it."""
+    otherwise the pattern exists but no profile name or CLI flag can
+    reach it."""
     production = root / Path(WORKLOAD_PATTERN_MODULE)
     registry = root / Path(WORKLOAD_REGISTRY)
     if not production.exists() or not registry.exists():
@@ -856,7 +801,7 @@ def check_workload_registry(root: Path) -> List[Finding]:
                     f"{what} '{name}' is not referenced from the "
                     "WORKLOADS/PATTERNS/PROFILES dicts in "
                     f"{WORKLOAD_REGISTRY} — unregistered generators are "
-                    "unreachable from profiles, the CLI and the perf gate",
+                    "unreachable from profiles and the CLI",
                 )
             )
     for name, line in sorted(factories.items()):
@@ -869,7 +814,7 @@ def check_workload_registry(root: Path) -> List[Finding]:
                     f"profile factory '{name}' is not referenced from the "
                     "WORKLOADS/PATTERNS/PROFILES dicts in "
                     f"{WORKLOAD_REGISTRY} — unregistered generators are "
-                    "unreachable from profiles, the CLI and the perf gate",
+                    "unreachable from profiles and the CLI",
                 )
             )
     return findings

@@ -13,8 +13,6 @@ Examples::
     repro-accfc metrics --port 7490 --all-shards 3    # merged cluster scrape
     repro-accfc load --profile etc --shards 16 --sessions 1024   # traffic engine
     repro-accfc load --trace ops.csv --shards 4 --json           # trace replay
-    repro-accfc perf diff            # compare HEAD profiles to the baseline
-    repro-accfc perf check           # the CI perf gate (exit 1 on DEGRADED)
     repro-accfc all                  # everything (several minutes)
 
 Scrape payloads (metrics/stats output) go to stdout; status and
@@ -367,10 +365,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.cluster.cli import cluster_main
 
         return cluster_main(argv[1:])
-    if argv and argv[0] == "perf":
-        from repro.perf.cli import perf_main
-
-        return perf_main(argv[1:])
     if argv and argv[0] == "load":
         from repro.harness.load import load_main
 
@@ -379,8 +373,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="repro-accfc",
         description="Regenerate the figures and tables of 'Application-Controlled File Caching' (OSDI '94). "
         "The extra subcommands 'serve', 'cluster' and 'metrics' (repro-accfc serve --help) run and "
-        "scrape the multi-client cache daemon or a sharded cluster of them; 'perf' "
-        "(repro-accfc perf --help) versions and gates benchmark profiles.",
+        "scrape the multi-client cache daemon or a sharded cluster of them.",
     )
     parser.add_argument(
         "experiment",

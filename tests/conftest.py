@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import os
 
 import pytest
@@ -38,6 +39,26 @@ def touch(cache, pid, file_id, blockno, write=False, whole=False):
     if outcome.read_needed:
         cache.loaded(outcome.block)
     return outcome
+
+
+def rendezvous(clients, method):
+    """Make ``method`` on each client wait until it has been entered on
+    every one of them.  Calls that are not in flight together never
+    return, so a caller that awaits them one after another hangs (run it
+    under a timeout).  No sleeps: only the calls themselves open the gate."""
+    entered = []
+    everyone = asyncio.Event()
+    for client in clients:
+        inner = getattr(client, method)
+
+        async def gated(*args, _inner=inner, **kwargs):
+            entered.append(_inner)
+            if len(entered) == len(clients):
+                everyone.set()
+            await everyone.wait()
+            return await _inner(*args, **kwargs)
+
+        setattr(client, method, gated)
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from conftest import rendezvous
 from repro.cluster import (
     ClusterClient,
     ClusterSupervisor,
@@ -158,6 +159,31 @@ class TestClusterBasics:
                 assert entry["accesses"] == len(owned)
             await cc.aclose()
             await sup.aclose()
+
+        run(go())
+
+    def test_ops_for_different_shards_are_not_serialised(self):
+        """Two concurrent reads whose paths live on different shards: each
+        shard's read waits until the other's has started, so a client that
+        ran ops bound for different shards one at a time would time out."""
+
+        async def go():
+            sup = ClusterSupervisor(shards=2, cache_mb=1, replicas=1)
+            await sup.start()
+            cc = await ClusterClient.connect(sup, name="t")
+            try:
+                paths = {}
+                for i in range(100):
+                    paths.setdefault(cc.shard_of(f"/c{i}.bin"), f"/c{i}.bin")
+                assert len(paths) == 2
+                for path in paths.values():
+                    await cc.open(path, size_blocks=1)
+                rendezvous([cc.clients[sid] for sid in paths], "read")
+                reads = asyncio.gather(*(cc.read(p, 0) for p in paths.values()))
+                assert await asyncio.wait_for(reads, 5.0) == [False, False]
+            finally:
+                await cc.aclose()
+                await sup.aclose()
 
         run(go())
 

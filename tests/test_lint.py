@@ -525,63 +525,6 @@ class TestR009DaemonFactory:
         assert findings == []
 
 
-class TestR011BenchmarkWrites:
-    def test_json_dump_in_benchmark_fires(self):
-        findings = lint(
-            """
-            import json
-
-            def save(data, path):
-                with open(path, "w") as fh:
-                    json.dump(data, fh)
-            """,
-            "benchmarks/test_whatever.py",
-        )
-        assert rules(findings) == ["R011"]
-        assert any("json.dump()" in f.message for f in findings)
-        assert any(".perf/profiles" in f.message for f in findings)
-
-    def test_write_text_and_dumps_fire(self):
-        findings = lint(
-            """
-            import json
-            from pathlib import Path
-
-            def save(data):
-                Path("out.json").write_text(json.dumps(data))
-            """,
-            "benchmarks/test_whatever.py",
-        )
-        assert [f.rule for f in findings] == ["R011", "R011"]
-
-    def test_open_mode_keyword_fires(self):
-        findings = lint(
-            "def f(p, d):\n    open(p, mode='a').write(d)\n",
-            "benchmarks/test_whatever.py",
-        )
-        assert rules(findings) == ["R011"]
-
-    def test_read_mode_open_is_allowed(self):
-        src = """
-            def load(path):
-                with open(path) as fh:
-                    return fh.read()
-
-            def load_binary(path):
-                return open(path, "rb").read()
-            """
-        assert lint(src, "benchmarks/test_whatever.py") == []
-
-    def test_conftest_is_exempt(self):
-        src = "import json\n\ndef save(d, fh):\n    json.dump(d, fh)\n"
-        assert lint(src, "benchmarks/conftest.py") == []
-
-    def test_outside_benchmarks_is_unaffected(self):
-        src = "import json\n\ndef save(d, fh):\n    json.dump(d, fh)\n"
-        assert lint(src, "repro/harness/report.py") == []
-        assert lint(src, "tools/test_gen.py") == []
-
-
 class TestR014SeededWorkloadRandomness:
     FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 

@@ -4,8 +4,8 @@ The statistical tests pin the *distributions* the pattern kit promises —
 Zipf frequency-rank slope, hotspot access shares, Poisson inter-arrival
 mean/CV, flash-crowd ramp shape — under fixed seeds with tolerances wide
 enough to be deterministic.  Determinism itself is pinned byte-for-byte:
-the same seed must reproduce the identical reference stream, because the
-perf gate and the load driver's reports are only comparable if the
+the same seed must reproduce the identical reference stream, because two
+``bench`` runs or two load-driver reports are only comparable if the
 offered traffic is.
 """
 

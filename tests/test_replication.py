@@ -25,6 +25,7 @@ import asyncio
 
 import pytest
 
+from conftest import rendezvous
 from repro.cluster import (
     ClusterClient,
     ClusterSupervisor,
@@ -239,6 +240,28 @@ class TestReplicatedService:
                 for sid in sids:
                     for blockno in range(4):
                         assert await cc.clients[sid].read(path, blockno)
+            finally:
+                await cc.aclose()
+                await sup.aclose()
+
+        run(go())
+
+    def test_write_fan_out_is_concurrent(self):
+        """Each replica's write waits until the other replica's write has
+        started, so a fan-out that awaited replicas one after another
+        would time out."""
+
+        async def go():
+            sup, cc = await _cluster(shards=2, replicas=2)
+            try:
+                path = "/fan/concurrent.dat"
+                await cc.open(path, size_blocks=1)
+                sids = cc.replication.replica_sids(path)
+                assert len(sids) == 2
+                rendezvous([cc.clients[sid] for sid in sids], "write")
+                assert await asyncio.wait_for(cc.write(path, 0), 5.0) is False
+                for sid in sids:
+                    assert await cc.clients[sid].read(path, 0)
             finally:
                 await cc.aclose()
                 await sup.aclose()
