@@ -1,13 +1,12 @@
 """Benchmark plumbing.
 
-Each benchmark regenerates one figure/table of the paper, asserts the
-*shape* of the result (who wins, by roughly what factor, where crossovers
-fall — per DESIGN.md the absolute 1994 numbers are out of scope), writes
-the rendered table to ``benchmarks/results/`` through :func:`save_table`
-and reports its runtime through pytest-benchmark.  None of these runtimes
-is gated: ``python3 -m bench`` gives the end-to-end numbers, and
-pytest-benchmark's ``--benchmark-save`` / ``--benchmark-compare`` compare
-two local runs (see docs/perf.md).
+``test_paper_claims.py`` asserts every row of the paper's claims table
+(``repro.harness.claims``).  The ablation and extension benchmarks write
+their rendered tables to ``benchmarks/results/`` through
+:func:`save_table` and report their runtimes through pytest-benchmark.
+None of these runtimes is gated: ``python3 -m bench`` gives the
+end-to-end numbers, and pytest-benchmark's ``--benchmark-save`` /
+``--benchmark-compare`` compare two local runs (see docs/perf.md).
 
 Experiments are memoised module-level, so one pytest session computes each
 underlying dataset once no matter how many benchmarks consume it.

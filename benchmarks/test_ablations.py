@@ -12,7 +12,7 @@ DESIGN.md calls out three design choices worth isolating:
 import pytest
 
 from conftest import run_once
-from repro.core.allocation import ALLOC_LRU, GLOBAL_LRU, LRU_S, LRU_SP
+from repro.core.allocation import LRU_SP
 from repro.core.revocation import RevocationPolicy
 from repro.core.upcall import MRUHandler, UpcallACM
 from repro.kernel.system import MachineConfig, System

@@ -8,8 +8,6 @@ of what placeholders buy: the oblivious reader keeps its ~490-frame
 working set only when the kernel remembers the fool's mistakes.
 """
 
-import pytest
-
 from conftest import run_once
 from repro.core.allocation import LRU_S, LRU_SP
 from repro.harness import report

@@ -8,8 +8,6 @@ plan under (a) the original kernel, (b) the best static policy (MRU on
 everything), and (c) the dynamic keep/discard strategy.
 """
 
-import pytest
-
 from conftest import run_once
 from repro.core.allocation import GLOBAL_LRU, LRU_SP
 from repro.harness import report

@@ -7,8 +7,6 @@ benchmark validates Section 7's claim that swapping/placeholders transfer
 to a two-hand clock.
 """
 
-import pytest
-
 from conftest import run_once
 from repro.core.allocation import GLOBAL_LRU, LRU_SP
 from repro.harness import report

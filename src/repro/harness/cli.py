@@ -121,9 +121,13 @@ def _run_zoo(args) -> str:
 
 
 def _run_validate(args) -> str:
-    from repro.harness.validate import render_validation, run_validation
+    from repro.harness.validate import render_validation, run_validation, verdict
 
-    return render_validation(run_validation())
+    results = run_validation()
+    text = render_validation(results)
+    if any(verdict(claim, value) == "FAIL" for claim, value in results):
+        raise _CheckFailed(text)
+    return text
 
 
 def _run_ablation(args) -> str:
@@ -142,7 +146,8 @@ def _run_ablation(args) -> str:
 
 class _CheckFailed(Exception):
     """Raised by ``repro-accfc check`` when lint or the sanitizer finds
-    something; carries the rendered report."""
+    something, and by ``validate`` when a claim fails; carries the
+    rendered report."""
 
 
 def _run_check(args) -> str:

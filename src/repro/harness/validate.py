@@ -1,168 +1,48 @@
-"""Self-validation: every reproduced claim checked against the paper.
+"""Self-validation: every row of the claims table checked against the paper.
 
-``repro-accfc validate`` runs the full experiment set and prints one
-verdict line per claim — the same acceptance bands the benchmarks assert,
-gathered in one human-readable report.  A reproduction that drifts (after
-a refactor, a recalibration, a new Python) fails loudly and specifically.
+``repro-accfc validate`` runs the full experiment set, measures each row
+of :data:`repro.harness.claims.CLAIMS` and prints one verdict line per
+row.  A row with a ``known_deviation`` prints as ``[DEV ]`` with its
+reason and is counted apart; any other row outside its band fails the
+command.  ``benchmarks/test_paper_claims.py`` asserts the same rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List
+from typing import List, Tuple
 
-from repro.harness import experiments, paperdata
+from repro.harness.claims import CLAIMS, Claim, number
 
-
-@dataclass
-class Check:
-    """One verified claim."""
-
-    experiment: str
-    claim: str
-    ours: str
-    paper: str
-    ok: bool
+Result = Tuple[Claim, float]
 
 
-def _ratio_checks(checks: List[Check]) -> None:
-    """Figure 4: per-app I/O ratios within a band of the paper's."""
-    data = experiments.fig4_single_apps()
-    for app in paperdata.APP_ORDER:
-        for i, mb in enumerate(paperdata.CACHE_SIZES_MB):
-            paper_orig = paperdata.PAPER_BLOCK_IOS[app]["original"][i]
-            paper_sp = paperdata.PAPER_BLOCK_IOS[app]["lru-sp"][i]
-            paper_ratio = paper_sp / paper_orig
-            ours = data[app][mb].io_ratio
-            known_deviation = app == "cs3" and mb == 12.0
-            ok = known_deviation or abs(ours - paper_ratio) <= 0.13
-            claim = f"io-ratio @ {mb:g}MB" + (" [known deviation]" if known_deviation else "")
-            checks.append(
-                Check("fig4/" + app, claim, f"{ours:.2f}", f"{paper_ratio:.2f}", ok)
-            )
+def run_validation() -> List[Result]:
+    """Every claim with its measured value."""
+    return [(claim, claim.measure()) for claim in CLAIMS]
 
 
-def _headline_checks(checks: List[Check]) -> None:
-    data = experiments.fig4_single_apps()
-    best_io = min(
-        data[a][mb].io_ratio for a in paperdata.APP_ORDER for mb in paperdata.CACHE_SIZES_MB
-    )
-    best_t = min(
-        data[a][mb].elapsed_ratio for a in paperdata.APP_ORDER for mb in paperdata.CACHE_SIZES_MB
-    )
-    checks.append(Check("headline", "I/O reduction up to ~80%", f"{1-best_io:.0%}", "80%", best_io < 0.35))
-    checks.append(Check("headline", "elapsed reduction up to ~45%", f"{1-best_t:.0%}", "45%", best_t < 0.65))
+def verdict(claim: Claim, value: float) -> str:
+    if claim.known_deviation:
+        return "DEV "
+    return "PASS" if claim.admits(value) else "FAIL"
 
 
-def _fig5_checks(checks: List[Check]) -> None:
-    data = experiments.fig5_multi_apps()
-    worst = max(
-        data[m][mb].elapsed_ratio for m in paperdata.FIG5_MIXES for mb in paperdata.CACHE_SIZES_MB
-    )
-    # pjn+ldk excepted: pjn's improvement individually shrinks with cache
-    # size in the paper's Figure 4, so its mix stays roughly flat.
-    growth = all(
-        data[m][16.0].elapsed_ratio <= data[m][6.4].elapsed_ratio + 0.02
-        for m in paperdata.FIG5_MIXES
-        if m != "pjn+ldk"
-    )
-    best16 = min(data[m][16.0].elapsed_ratio for m in paperdata.FIG5_MIXES)
-    checks.append(Check("fig5", "every mix improves", f"worst ratio {worst:.2f}", "< 1.0", worst < 1.0))
-    checks.append(Check("fig5", "improvement grows with cache", str(growth), "True", growth))
-    checks.append(Check("fig5", "reductions reach ~30%", f"{1-best16:.0%}", "~30%", best16 < 0.8))
-
-
-def _fig6_checks(checks: List[Check]) -> None:
-    data = experiments.fig6_alloc_lru()
-    at_contended = all(data[m][6.4].io_ratio > 1.0 for m in paperdata.FIG6_MIXES)
-    cells = [
-        data[m][mb].io_ratio for m in paperdata.FIG6_MIXES for mb in paperdata.CACHE_SIZES_MB
-    ]
-    mostly = sum(1 for r in cells if r > 1.0) / len(cells)
-    checks.append(Check("fig6", "ALLOC-LRU worse when contended (6.4MB)", str(at_contended), "True", at_contended))
-    checks.append(Check("fig6", "ALLOC-LRU worse in most cases", f"{mostly:.0%}", "> 50%", mostly > 0.5))
-
-
-def _table1_checks(checks: List[Check]) -> None:
-    data = experiments.table1_placeholders()
-    for n in (490, 500):
-        unprot = data["unprotected"][n].block_ios
-        obliv = data["oblivious"][n].block_ios
-        prot = data["protected"][n].block_ios
-        checks.append(Check(
-            "table1", f"LRU-S lets the fool rob read{n}",
-            f"+{unprot/obliv-1:.0%}", "paper +25-55%", unprot > obliv * 1.2,
-        ))
-        checks.append(Check(
-            "table1", f"LRU-SP protects read{n}",
-            f"{prot/obliv:.2f}x oblivious", "~1.0x", prot <= obliv * 1.1,
-        ))
-    slow = max(
-        data["protected"][n].elapsed / data["oblivious"][n].elapsed for n in paperdata.TABLE1_READN
-    )
-    checks.append(Check(
-        "table1", "elapsed still inflates under protection",
-        f"{slow:.2f}x", "> 1.1x", slow > 1.1,
-    ))
-
-
-def _table2_checks(checks: List[Check]) -> None:
-    data = experiments.table2_foolish()
-    for app in paperdata.TABLE2_APPS:
-        t_infl = data["foolish"][app].elapsed / data["oblivious"][app].elapsed
-        io_infl = data["foolish"][app].block_ios / max(1, data["oblivious"][app].block_ios)
-        checks.append(Check(
-            "table2/" + app, "fool inflates elapsed more than I/Os",
-            f"t x{t_infl:.2f}, io x{io_infl:.2f}", "t >> io",
-            t_infl > 1.05 and io_infl < t_infl,
-        ))
-
-
-def _table34_checks(checks: List[Check]) -> None:
-    one = experiments.table3_smart_one_disk()
-    two = experiments.table4_smart_two_disks()
-    never_hurt = all(
-        one["smart"][a].read300_elapsed <= one["oblivious"][a].read300_elapsed * 1.1
-        for a in paperdata.TABLE2_APPS
-    )
-    checks.append(Check("table3", "smart neighbours never hurt", str(never_hurt), "True", never_hurt))
-    flat = all(
-        abs(two["smart"][a].read300_elapsed - two["oblivious"][a].read300_elapsed)
-        <= 0.15 * two["oblivious"][a].read300_elapsed
-        for a in paperdata.TABLE2_APPS
-    )
-    checks.append(Check("table4", "two disks: anomaly disappears", str(flat), "True", flat))
-
-
-_SECTIONS: List[Callable[[List[Check]], None]] = [
-    _ratio_checks,
-    _headline_checks,
-    _fig5_checks,
-    _fig6_checks,
-    _table1_checks,
-    _table2_checks,
-    _table34_checks,
-]
-
-
-def run_validation() -> List[Check]:
-    """Run everything; returns the full check list."""
-    checks: List[Check] = []
-    for section in _SECTIONS:
-        section(checks)
-    return checks
-
-
-def render_validation(checks: List[Check]) -> str:
+def render_validation(results: List[Result]) -> str:
+    width = max(len(c.id) for c, _ in results)
     lines = []
-    width = max(len(c.experiment) for c in checks)
-    cwidth = max(len(c.claim) for c in checks)
-    for c in checks:
-        mark = "PASS" if c.ok else "FAIL"
-        lines.append(
-            f"[{mark}] {c.experiment:<{width}}  {c.claim:<{cwidth}}  "
-            f"ours={c.ours}  paper={c.paper}"
+    for claim, value in results:
+        paper = "-" if claim.paper is None else number(claim.paper)
+        line = (
+            f"[{verdict(claim, value)}] {claim.id:<{width}}  ours={number(value)}  "
+            f"paper={paper}  band={claim.band}  {claim.cell}: {claim.measures}"
         )
-    passed = sum(1 for c in checks if c.ok)
-    lines.append(f"\n{passed}/{len(checks)} claims reproduced")
+        if claim.known_deviation:
+            line += f" -- known deviation: {claim.known_deviation}"
+        lines.append(line)
+    marks = [verdict(c, v) for c, v in results]
+    checked = len(marks) - marks.count("DEV ")
+    lines.append(
+        f"\n{marks.count('PASS')}/{checked} claims reproduced, "
+        f"{marks.count('DEV ')} known deviations"
+    )
     return "\n".join(lines)
