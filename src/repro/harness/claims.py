@@ -9,8 +9,9 @@ Structural claims are numbers too: "monotone down" is the largest step
 up, with ``hi=0``; "worse in most cases" is a share, with ``lo=0.5``.
 Figure 4 ratios sit within :data:`FIG4_TOLERANCE` of the paper's and
 Table 6 counts within :data:`TABLE6_TOLERANCE` of the paper's; a cell
-with a tighter shape bound (parity once a dataset fits, say) gets the
-intersection of the two.
+with a tighter bound (parity once a dataset fits, say) names that edge
+in :data:`_FIG4_EDGES` or :data:`_TABLE6_EDGES`, and it replaces the
+tolerance's edge on that side.
 """
 
 from __future__ import annotations
@@ -28,18 +29,6 @@ class Open(float):
     """A band edge the value must not reach: ``hi=Open(1.0)`` means ``< 1.0``."""
 
 
-Band = Tuple[float, float]
-UNBOUNDED: Band = (Open(-math.inf), Open(math.inf))
-
-
-def below(hi: float) -> Band:
-    return UNBOUNDED[0], hi
-
-
-def above(lo: float) -> Band:
-    return lo, UNBOUNDED[1]
-
-
 @dataclass(frozen=True)
 class Claim:
     """``value`` maps the experiment's result to the one number checked
@@ -49,8 +38,8 @@ class Claim:
     cell: str
     measures: str
     value: Callable[[Any], float]
-    lo: float = UNBOUNDED[0]
-    hi: float = UNBOUNDED[1]
+    lo: float = Open(-math.inf)
+    hi: float = Open(math.inf)
     paper: Optional[float] = None
     known_deviation: Optional[str] = None
 
@@ -78,13 +67,6 @@ class Claim:
 def number(x: float) -> str:
     """Four significant digits for ratios and seconds; counts in full."""
     return f"{x:.0f}" if abs(x) >= 1000 else f"{x:.4g}"
-
-
-def _meet(*bands: Band) -> Band:
-    """The intersection of bands; at a shared edge the open one wins."""
-    los, his = zip(*bands)
-    return (max(los, key=lambda lo: (lo, isinstance(lo, Open))),
-            min(his, key=lambda hi: (hi, not isinstance(hi, Open))))
 
 
 #: The experiment each row's id prefix reads; Tables 5 and 6 are Figure 4's runs.
@@ -118,31 +100,32 @@ TABLE6_TOLERANCE = {"original": 0.20, "lru-sp": 0.35}
 #: LRU-SP never costs an application more than 5 % (I/Os or time).
 NEVER_WORSE = 1.05
 
-_PARITY = (0.97, 1.03)  # the dataset fits: both kernels do the same I/Os
+_PARITY = {"lo": 0.97, "hi": 1.03}  # the dataset fits: both kernels do the same I/Os
 
-#: Shape bounds on single Figure 4 ratios, met with the tolerance band.
-_FIG4_BOUNDS: Dict[Tuple[str, float], Band] = {
+#: Figure 4 edges tighter than the tolerance band's; each replaces that side.
+_FIG4_EDGES: Dict[Tuple[str, float], Dict[str, float]] = {
     ("din", 8.0): _PARITY,
     ("din", 12.0): _PARITY,
     ("din", 16.0): _PARITY,
     ("cs1", 12.0): _PARITY,
-    ("cs2", 16.0): below(Open(0.6)),
+    ("cs2", 16.0): {"hi": Open(0.6)},
     ("cs3", 16.0): _PARITY,
-    **{("gli", mb): (Open(0.6), Open(0.95)) for mb in MB},
-    ("ldk", 6.4): above(Open(0.9)),
-    ("ldk", 16.0): below(Open(0.85)),
-    ("pjn", 6.4): below(Open(0.9)),
-    ("pjn", 16.0): above(Open(0.9)),
-    ("sort", 6.4): below(Open(0.95)),
-    ("sort", 16.0): below(Open(0.75)),
+    ("gli", 6.4): {"hi": Open(0.95)},
+    ("gli", 16.0): {"hi": Open(0.95)},
+    ("ldk", 6.4): {"lo": Open(0.9)},
+    ("ldk", 16.0): {"hi": Open(0.85)},
+    ("pjn", 6.4): {"hi": Open(0.9)},
+    ("pjn", 16.0): {"lo": Open(0.9)},
+    ("sort", 6.4): {"hi": Open(0.95)},
+    ("sort", 16.0): {"hi": Open(0.75)},
 }
 
-#: Compulsory floors and exact counts on single Table 6 cells.
-_TABLE6_BOUNDS: Dict[Tuple[str, float, str], Band] = {
-    ("din", 8.0, "original"): (998, 998),
-    ("din", 8.0, "lru-sp"): (998, 998),
-    ("din", 16.0, "lru-sp"): above(998),
-    ("cs1", 16.0, "lru-sp"): above(1141),
+#: Table 6: compulsory floors and exact counts, tighter than the tolerance.
+_TABLE6_EDGES: Dict[Tuple[str, float, str], Dict[str, float]] = {
+    ("din", 8.0, "original"): {"lo": 998, "hi": 998},
+    ("din", 8.0, "lru-sp"): {"lo": 998, "hi": 998},
+    ("din", 16.0, "lru-sp"): {"lo": 998},
+    ("cs1", 16.0, "lru-sp"): {"lo": 1141},
 }
 
 _CS3_12MB = (
@@ -161,19 +144,21 @@ def _single_app_cells() -> Tuple[List[Claim], List[Claim]]:
             cell = f"{app} @ {mb:g} MB"
             deviation = _CS3_12MB if (app, mb) == ("cs3", 12.0) else None
             p = ios["lru-sp"][i] / ios["original"][i]
-            band = _meet((p - FIG4_TOLERANCE, p + FIG4_TOLERANCE), below(NEVER_WORSE),
-                         _FIG4_BOUNDS.get((app, mb), UNBOUNDED))
+            band = {"lo": p - FIG4_TOLERANCE, "hi": p + FIG4_TOLERANCE}
+            band.update(_FIG4_EDGES.get((app, mb), {}))
             fig4.append(Claim(
                 f"fig4/{app}@{mb:g}", cell, "block-I/O ratio, LRU-SP / original",
-                lambda d, a=app, m=mb: d[a][m].io_ratio, *band, p, deviation,
+                lambda d, a=app, m=mb: d[a][m].io_ratio, **band, paper=p,
+                known_deviation=deviation,
             ))
             for kernel, field in (("original", "orig_ios"), ("lru-sp", "sp_ios")):
                 p, tol = ios[kernel][i], TABLE6_TOLERANCE[kernel]
-                band = _meet((p * (1 - tol), p * (1 + tol)),
-                             _TABLE6_BOUNDS.get((app, mb, kernel), UNBOUNDED))
+                band = {"lo": p * (1 - tol), "hi": p * (1 + tol)}
+                band.update(_TABLE6_EDGES.get((app, mb, kernel), {}))
                 table6.append(Claim(
                     f"table6/{app}@{mb:g}/{kernel}", cell, f"block I/Os, {kernel} kernel",
-                    lambda d, a=app, m=mb, f=field: getattr(d[a][m], f), *band, p, deviation,
+                    lambda d, a=app, m=mb, f=field: getattr(d[a][m], f), **band, paper=p,
+                    known_deviation=deviation,
                 ))
     return fig4, table6
 
@@ -183,17 +168,54 @@ _FIG4_CELLS, _TABLE6_CELLS = _single_app_cells()
 
 # -- Structural claims ----------------------------------------------------------
 
+_READ300_IOS = paperdata.READN_FILE_BLOCKS[300]  # all compulsory misses
+_ALL = "every cell"
+
+
+def _table1(setting: str, n: int, **band: float) -> Claim:
+    return Claim(f"table1/read{n}/{setting}", f"read{n}",
+                 f"block I/Os, {setting} / oblivious setting",
+                 lambda d: d[setting][n].block_ios / d["oblivious"][n].block_ios, **band)
+
+
 def _fool(d: Any, app: str, field: str) -> float:
     """Table 2: ``field`` beside a foolish Read300 over beside an oblivious one."""
     return getattr(d["foolish"][app], field) / getattr(d["oblivious"][app], field)
 
 
-_READ300_IOS = paperdata.READN_FILE_BLOCKS[300]  # all compulsory misses
-_ALL = "every cell"
+def _table2(app: str) -> List[Claim]:
+    return [
+        Claim(f"table2/{app}/elapsed", app, "elapsed time, foolish / oblivious Read300",
+              lambda d: _fool(d, app, "elapsed"), lo=Open(1.1), hi=Open(3.0)),
+        Claim(f"table2/{app}/ios", app, "block I/Os, foolish / oblivious Read300",
+              lambda d: _fool(d, app, "block_ios"), hi=1.15),
+        Claim(f"table2/{app}/elapsed-over-ios", app, "elapsed inflation / I/O inflation",
+              lambda d: _fool(d, app, "elapsed") / _fool(d, app, "block_ios"), lo=Open(1.0)),
+    ]
+
+
+def _table34(table: int, app: str, **band: float) -> Claim:
+    """Tables 3 and 4: Read300's time beside a smart app over beside an oblivious one."""
+    return Claim(f"table{table}/{app}", f"Read300 beside {app}",
+                 "Read300's time, smart / oblivious app",
+                 lambda d: d["smart"][app].read300_elapsed / d["oblivious"][app].read300_elapsed,
+                 **band)
+
+
+def _read300_ios(table: int, most: float) -> List[Claim]:
+    return [
+        Claim(f"table{table}/fewest-ios", _ALL, "Read300's fewest block I/Os",
+              lambda d: min(c.read300_ios for c in _cells(d)), lo=_READ300_IOS),
+        Claim(f"table{table}/most-ios", _ALL, "Read300's most block I/Os",
+              lambda d: max(c.read300_ios for c in _cells(d)), hi=most),
+    ]
+
 
 _SHAPES = [
     Claim("fig4/cs2-monotone", "cs2, 6.4 -> 16 MB", "largest step up in the I/O ratio",
           lambda d: _largest_rise([d["cs2"][mb].io_ratio for mb in sorted(d["cs2"])]), hi=0.0),
+    Claim("fig4/worst-io", _ALL, "largest I/O ratio",
+          lambda d: max(c.io_ratio for c in _cells(d)), hi=NEVER_WORSE),
     Claim("fig4/worst-elapsed", _ALL, "largest elapsed-time ratio",
           lambda d: max(c.elapsed_ratio for c in _cells(d)), hi=NEVER_WORSE),
     Claim("fig4/elapsed-follows-io", "cells with I/O ratio < 0.7", "largest elapsed-time ratio",
@@ -228,67 +250,33 @@ _SHAPES = [
           lambda d: max(per[6.4].io_ratio for per in d.values()), lo=Open(1.05)),
     Claim("fig6/worse-share", _ALL, "share of cells where ALLOC-LRU does more I/Os",
           lambda d: sum(c.io_ratio > 1.0 for c in _cells(d)) / len(_cells(d)), lo=Open(0.5)),
-    *(
-        Claim(f"table1/read{n}/{s}", f"read{n}", f"block I/Os, {s} / oblivious setting",
-              lambda d, s=s, n=n: d[s][n].block_ios / d["oblivious"][n].block_ios, *band)
-        for s, n, band in (
-            *(("unprotected", n, below(Open(1.25))) for n in (390, 400)),
-            *(("unprotected", n, above(Open(1.5))) for n in (490, 500)),
-            *(("protected", n, below(1.1)) for n in paperdata.TABLE1_READN),
-        )
-    ),
+    *[_table1("unprotected", n, hi=Open(1.25)) for n in (390, 400)],
+    *[_table1("unprotected", n, lo=Open(1.5)) for n in (490, 500)],
+    *[_table1("protected", n, hi=1.1) for n in paperdata.TABLE1_READN],
     Claim("table1/protected-vs-unprotected", "every ReadN", "largest I/O ratio, LRU-SP / LRU-S",
           lambda d: max(p.block_ios / d["unprotected"][n].block_ios
                         for n, p in d["protected"].items()), hi=1.0),
     Claim("table1/elapsed", "every ReadN", "largest elapsed time, LRU-SP / oblivious Read300",
           lambda d: max(p.elapsed / d["oblivious"][n].elapsed
                         for n, p in d["protected"].items()), lo=Open(1.1)),
-    *(
-        row
-        for app in paperdata.TABLE2_APPS
-        for row in (
-            Claim(f"table2/{app}/elapsed", app, "elapsed time, foolish / oblivious Read300",
-                  lambda d, a=app: _fool(d, a, "elapsed"), lo=Open(1.1), hi=Open(3.0)),
-            Claim(f"table2/{app}/ios", app, "block I/Os, foolish / oblivious Read300",
-                  lambda d, a=app: _fool(d, a, "block_ios"), hi=1.15),
-            Claim(f"table2/{app}/elapsed-over-ios", app, "elapsed inflation / I/O inflation",
-                  lambda d, a=app: _fool(d, a, "elapsed") / _fool(d, a, "block_ios"),
-                  lo=Open(1.0)),
-        )
-    ),
+    *[row for app in paperdata.TABLE2_APPS for row in _table2(app)],
     Claim("table2/worst-elapsed", "every app", "largest elapsed time, foolish / oblivious",
           lambda d: max(_fool(d, a, "elapsed") for a in d["foolish"]), lo=Open(1.25)),
-    *(
-        Claim(f"table{t}/{app}", f"Read300 beside {app}", "Read300's time, smart / oblivious app",
-              lambda d, a=app: d["smart"][a].read300_elapsed / d["oblivious"][a].read300_elapsed,
-              *band)
-        for t, app, band in (
-            *((3, a, below(Open(1.0) if a == "din" else 1.1)) for a in paperdata.TABLE2_APPS),
-            *((4, a, (0.85, 1.15)) for a in paperdata.TABLE2_APPS),
-        )
-    ),
-    *(
-        row
-        for t, most in ((3, _READ300_IOS * 1.12), (4, 1450))
-        for row in (
-            Claim(f"table{t}/fewest-ios", _ALL, "Read300's fewest block I/Os",
-                  lambda d: min(c.read300_ios for c in _cells(d)), lo=_READ300_IOS),
-            Claim(f"table{t}/most-ios", _ALL, "Read300's most block I/Os",
-                  lambda d: max(c.read300_ios for c in _cells(d)), hi=most),
-        )
-    ),
+    *[_table34(3, a, hi=Open(1.0) if a == "din" else 1.1)
+      for a in paperdata.TABLE2_APPS],
+    *_read300_ios(3, most=_READ300_IOS * 1.12),
+    *[_table34(4, a, lo=0.85, hi=1.15) for a in paperdata.TABLE2_APPS],
+    *_read300_ios(4, most=1450),
     Claim("table4/slowest", _ALL, "Read300's longest elapsed time (s)",
           lambda d: max(c.read300_elapsed for c in _cells(d)), hi=Open(35.0)),
     Claim("table5/din-drop", "din, original, 6.4 / 8 MB", "elapsed-time ratio",
           lambda d: d["din"][6.4].orig_elapsed / d["din"][8.0].orig_elapsed, lo=Open(1.05)),
     Claim("table5/cs1-drop", "cs1, original, 12 / 8 MB", "elapsed-time ratio",
           lambda d: d["cs1"][12.0].orig_elapsed / d["cs1"][8.0].orig_elapsed, hi=Open(0.6)),
-    *(
-        Claim(f"table5/{app}-flat", f"{app}, original", "slowest / fastest elapsed time",
-              lambda d, a=app: (max(c.orig_elapsed for c in d[a].values())
-                                / min(c.orig_elapsed for c in d[a].values())), hi=Open(1.25))
-        for app in ("ldk", "sort")
-    ),
+    *[Claim(f"table5/{app}-flat", f"{app}, original", "slowest / fastest elapsed time",
+            lambda d, a=app: (max(c.orig_elapsed for c in d[a].values())
+                              / min(c.orig_elapsed for c in d[a].values())), hi=Open(1.25))
+      for app in ("ldk", "sort")],
     Claim("table5/lru-sp-growth", "every app, LRU-SP", "largest elapsed time, 16 / 6.4 MB",
           lambda d: max(per[max(per)].sp_elapsed / per[min(per)].sp_elapsed for per in d.values()),
           hi=NEVER_WORSE),

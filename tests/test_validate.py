@@ -1,5 +1,7 @@
 """The claims table and the self-validation report that renders it."""
 
+import math
+
 import pytest
 
 from repro.harness import claims, cli, paperdata, validate
@@ -7,7 +9,7 @@ from repro.harness.claims import CLAIMS, Claim, Open
 from repro.harness.validate import render_validation
 
 
-def _row(id="fig4/x", lo=claims.UNBOUNDED[0], hi=1.0, deviation=None):
+def _row(id="fig4/x", lo=Open(-math.inf), hi=1.0, deviation=None):
     return Claim(id, "cell", "what", lambda d: 0.0, lo=lo, hi=hi, known_deviation=deviation)
 
 
@@ -54,6 +56,18 @@ class TestTable:
                 for kernel in ("original", "lru-sp"):
                     assert by_id[f"table6/{app}@{mb:g}/{kernel}"].paper == ios[kernel][i]
 
+    def test_cell_bands_within_tolerance(self):
+        """A tighter edge may replace a tolerance edge, never widen it."""
+        for c in CLAIMS:
+            if c.id.startswith("fig4/") and c.paper is not None:
+                tol = (c.paper - claims.FIG4_TOLERANCE, c.paper + claims.FIG4_TOLERANCE)
+            elif c.id.startswith("table6/"):
+                rel = claims.TABLE6_TOLERANCE[c.id.rsplit("/", 1)[1]]
+                tol = (c.paper * (1 - rel), c.paper * (1 + rel))
+            else:
+                continue
+            assert tol[0] <= c.lo <= c.hi <= tol[1], c.id
+
     def test_bands_ordered_and_deviations_explained(self):
         for c in CLAIMS:
             assert c.lo <= c.hi, c.id
@@ -64,7 +78,7 @@ class TestTable:
         assert _row(hi=Open(1.0)).band == "(-inf, 1)"
         assert not _row(hi=Open(1.0)).admits(1.0)
         assert _row(hi=1.0).admits(1.0)
-        assert not _row(lo=Open(1.0), hi=claims.UNBOUNDED[1]).admits(1.0)
+        assert not _row(lo=Open(1.0), hi=Open(math.inf)).admits(1.0)
 
     def test_row_evaluates_on_small_primed_experiment(self):
         """A structural row reads any grid, so a reduced Figure 4 run serves."""
