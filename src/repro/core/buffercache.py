@@ -17,8 +17,8 @@ realises the original kernel (GLOBAL_LRU) and the ALLOC-LRU / LRU-S /
 LRU-SP variants the paper compares.
 
 BUF performs no I/O itself: an access returns an :class:`AccessOutcome`
-describing what the caller (the simulated kernel, or a trace driver) must
-do — write back an evicted dirty block and/or read the missed block.
+describing what the caller (the simulated kernel, or the untimed one
+under the cache service and trace replay) must do — write back an evicted dirty block and/or read the missed block.
 """
 
 from __future__ import annotations

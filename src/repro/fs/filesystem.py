@@ -81,7 +81,10 @@ class File:
 
     def lba_of(self, blockno: int) -> int:
         """Disk address of logical block ``blockno``."""
-        starts, extents = self._index(), self.extents
+        extents = self.extents
+        if len(extents) == 1 and 0 <= blockno < extents[0].nblocks:
+            return extents[0].start_lba + blockno
+        starts = self._index()
         i = bisect_right(starts, blockno) - 1
         if i >= 0 and extents:
             extent = extents[i]
@@ -158,6 +161,8 @@ class SimFilesystem:
         cover the gap (plus modest slack so sequential appends stay mostly
         contiguous).
         """
+        if 0 <= blockno < f.nblocks:
+            return f.lba_of(blockno)
         if blockno < 0:
             raise FsError(f"negative block number {blockno}")
         capacity = f.capacity()

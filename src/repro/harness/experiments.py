@@ -2,7 +2,8 @@
 
 Every function is pure (deterministic for fixed arguments) and memoised, so
 a benchmark that needs Figure 4's data after Table 5 already computed it
-pays nothing.  Results come back as small dataclasses carrying both the
+pays nothing, whether its arguments are left to their defaults, passed
+positionally or by name.  Results come back as small dataclasses carrying both the
 absolute numbers and the normalized ratios the paper plots.
 
 Conventions, matching the paper's methodology:
@@ -17,6 +18,7 @@ Conventions, matching the paper's methodology:
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -24,6 +26,23 @@ from repro.core.allocation import ALLOC_LRU, GLOBAL_LRU, LRU_S, LRU_SP, Allocati
 from repro.harness import paperdata
 from repro.harness.runner import AppSpec, app, run_mix
 from repro.workloads.readn import ReadNBehavior
+
+
+def _memoised(fn):
+    """``functools.lru_cache`` keyed on the arguments with the defaults
+    filled in: a call that omits them, one that passes them positionally
+    and one that names them all share one entry."""
+    cached = functools.lru_cache(maxsize=None)(fn)
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*bound.args)
+
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
 
 
 def _mix_specs(mix: str, smart: bool) -> List[AppSpec]:
@@ -65,7 +84,7 @@ class SingleAppResult:
         return self.sp_ios / self.orig_ios
 
 
-@functools.lru_cache(maxsize=None)
+@_memoised
 def fig4_single_apps(
     apps: Tuple[str, ...] = paperdata.APP_ORDER,
     cache_sizes: Tuple[float, ...] = paperdata.CACHE_SIZES_MB,
@@ -114,7 +133,7 @@ class MixResult:
         return self.test_ios / self.base_ios
 
 
-@functools.lru_cache(maxsize=None)
+@_memoised
 def fig5_multi_apps(
     mixes: Tuple[str, ...] = paperdata.FIG5_MIXES,
     cache_sizes: Tuple[float, ...] = paperdata.CACHE_SIZES_MB,
@@ -139,7 +158,7 @@ def fig5_multi_apps(
     return results
 
 
-@functools.lru_cache(maxsize=None)
+@_memoised
 def fig6_alloc_lru(
     mixes: Tuple[str, ...] = paperdata.FIG6_MIXES,
     cache_sizes: Tuple[float, ...] = paperdata.CACHE_SIZES_MB,
@@ -179,7 +198,7 @@ class Table1Cell:
     block_ios: int
 
 
-@functools.lru_cache(maxsize=None)
+@_memoised
 def table1_placeholders(
     ns: Tuple[int, ...] = paperdata.TABLE1_READN,
     cache_mb: float = 6.4,
@@ -222,7 +241,7 @@ class Table2Cell:
     block_ios: int
 
 
-@functools.lru_cache(maxsize=None)
+@_memoised
 def table2_foolish(
     apps: Tuple[str, ...] = paperdata.TABLE2_APPS,
     cache_mb: float = 6.4,
@@ -279,7 +298,7 @@ def _smart_vs_oblivious(apps: Tuple[str, ...], cache_mb: float, readn_disk) -> D
     return results
 
 
-@functools.lru_cache(maxsize=None)
+@_memoised
 def table3_smart_one_disk(
     apps: Tuple[str, ...] = paperdata.TABLE2_APPS,
     cache_mb: float = 6.4,
@@ -288,7 +307,7 @@ def table3_smart_one_disk(
     return _smart_vs_oblivious(apps, cache_mb, readn_disk=None)
 
 
-@functools.lru_cache(maxsize=None)
+@_memoised
 def table4_smart_two_disks(
     apps: Tuple[str, ...] = paperdata.TABLE2_APPS,
     cache_mb: float = 6.4,
@@ -301,7 +320,7 @@ def table4_smart_two_disks(
 # -- Ablations beyond the paper's figures --------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@_memoised
 def ablation_policies(
     mix: str = "cs2+gli",
     cache_mb: float = 6.4,
@@ -320,7 +339,7 @@ def ablation_policies(
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@_memoised
 def ablation_readahead(
     kind: str = "din",
     cache_mb: float = 6.4,

@@ -2,26 +2,22 @@
 
 The service layer keeps one :class:`SessionCounters` per connection pid;
 the daemon merges them with queue state into the reply of the ``stats``
-verb.  The counting rules mirror :mod:`repro.trace.driver.replay` and the
-kernel's :class:`~repro.sim.process.ProcessStats` exactly — a demand read
-per miss that needs disk, a write-back per dirty eviction charged to the
-*owner* of the evicted block, and one write per dirty block at the final
-flush — so service-side numbers are directly comparable to simulation
-results.  (This module itself is protocol-only: it never touches the
-kernel; see lint rule R006.)
+verb.  They are the per-pid counts of the engine the service and trace
+replay share (:class:`repro.kernel.untimed.UntimedKernel`), which bumps
+the block-level fields by the simulated kernel's rule, so service-side
+numbers are directly comparable to simulation results.  (This module
+itself is protocol-only: it never touches the kernel; see lint rule
+R006.)
 
-Since the telemetry subsystem landed, the counters have exactly one
-home: the server's :class:`~repro.telemetry.metrics.MetricsRegistry`,
-as ``repro_session_<field>_total{pid=...}`` counters.  This class is a
-pid-bound *view* over those registry cells — the attribute surface
-(``counters.hits``, ``counters.hits += 1``) and the ``as_dict()`` wire
-shape are unchanged, but the ``stats`` verb and the ``metrics`` verb can
-no longer drift apart, because they read the same storage.
+:func:`session_collector` copies the counters into the server's
+:class:`~repro.telemetry.metrics.MetricsRegistry` at scrape time, as
+``repro_session_<field>_total{pid=...}``, so the ``stats`` verb and the
+``metrics`` verb read the same storage and cannot drift apart.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict
 
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -50,36 +46,22 @@ _HELP = {
 
 
 class SessionCounters:
-    """Cache-visible work done on behalf of one session.
+    """Cache-visible work done on behalf of one session, one integer
+    attribute per field of :data:`SESSION_FIELDS`."""
 
-    A thin view: each field is a labelled child of the registry family
-    ``repro_session_<field>_total``.  Constructing one without a registry
-    (tests, ad-hoc use) gets a private registry, so the class still works
-    standalone.
-    """
+    __slots__ = SESSION_FIELDS
 
-    __slots__ = ("_cells",)
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None, pid: int = 0) -> None:
-        if registry is None:
-            registry = MetricsRegistry()
-        self._cells = {
-            field: registry.counter(
-                f"repro_session_{field}_total", _HELP[field], labels=("pid",)
-            ).labels(pid=pid)
-            for field in SESSION_FIELDS
-        }
+    def __init__(self) -> None:
+        for field in SESSION_FIELDS:
+            setattr(self, field, 0)
 
     def inc(self, field: str, amount: int = 1) -> None:
-        """Bump one counter (the preferred write path)."""
-        self._cells[field].inc(amount)  # type: ignore[union-attr]
+        """Bump one counter."""
+        setattr(self, field, getattr(self, field) + amount)
 
     @property
     def hit_ratio(self) -> float:
-        accesses = self.accesses
-        if accesses == 0:
-            return 0.0
-        return self.hits / accesses
+        return self.hits / self.accesses if self.accesses else 0.0
 
     @property
     def block_ios(self) -> int:
@@ -101,21 +83,22 @@ class SessionCounters:
         }
 
 
-def _field_property(field: str) -> property:
-    def fget(self: SessionCounters) -> int:
-        return int(self._cells[field].value)
+def session_collector(
+    counters: Dict[int, SessionCounters]
+) -> Callable[[MetricsRegistry], None]:
+    """A scrape-time collector exporting ``counters`` (pid -> counters)."""
 
-    def fset(self: SessionCounters, value: int) -> None:
-        # Supports the historical ``counters.hits += 1`` form (read-modify-
-        # write on the registry cell); inc() is the preferred path.
-        self._cells[field].set_total(value)
+    def collect(registry: MetricsRegistry) -> None:
+        if not counters:
+            return
+        for field in SESSION_FIELDS:
+            family = registry.counter(
+                f"repro_session_{field}_total", _HELP[field], labels=("pid",)
+            )
+            for pid, session in counters.items():
+                family.labels(pid=pid).set_total(getattr(session, field))
 
-    return property(fget, fset, doc=_HELP[field])
-
-
-for _field in SESSION_FIELDS:
-    setattr(SessionCounters, _field, _field_property(_field))
-del _field
+    return collect
 
 
 def render_stats(snapshot: Dict[str, Any]) -> str:

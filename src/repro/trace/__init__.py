@@ -9,9 +9,10 @@ package provides the same methodology as a library:
   :class:`repro.kernel.System` run;
 * :mod:`repro.trace.format`   — a line-oriented text format with reader
   and writer (diff-friendly, stable across versions);
-* :mod:`repro.trace.driver`   — replay a trace against a
-  :class:`repro.core.BufferCache` under any allocation policy, with no
-  timing model, and compare against offline OPT/LRU/MRU bounds.
+* :mod:`repro.trace.driver`   — replay a trace on the untimed kernel
+  (:class:`repro.kernel.untimed.UntimedKernel`) under any allocation
+  policy, with no timing model, and compare against offline OPT/LRU/MRU
+  bounds.
 
 This is also the fastest way to experiment with new replacement policies:
 record once, replay in milliseconds.

@@ -16,7 +16,10 @@ shared cache processed it as one serial reference stream.
 
 import asyncio
 
+from repro.core.revocation import RevocationPolicy
+from repro.kernel.system import MachineConfig
 from repro.server import CacheClient, CacheDaemon, build_config
+from repro.server.service import CacheService, ServiceError
 from repro.trace import TraceRecorder
 from repro.trace.driver import replay
 
@@ -89,6 +92,55 @@ def test_interleaved_sessions_match_single_driver_replay():
         assert entry["disk_writes"] == ref["writes"], pid
     # The allocation decisions (who holds how many frames) replayed exactly.
     assert occupancy == reference.occupancy
+
+
+def test_refused_and_revoked_directives_replay_to_the_service_counts():
+    """The service answers DIRECTIVE to a bad directive and REVOKED to one
+    from a session whose control was revoked, and goes on; both stay in
+    its trace, and replay must skip them the same way."""
+    revocation = RevocationPolicy(min_decisions=8, mistake_ratio=0.25)
+    recorder = TraceRecorder()
+    config = MachineConfig(
+        cache_mb=CACHE_MB, revocation=revocation, sanitize=True
+    )
+    service = CacheService(config, trace_recorder=recorder)
+    fool, other = service.register_session(), service.register_session()
+    service.open(fool, "hot", 12)
+    service.open(other, "cold", 40)
+    service.open(other, "scratch", 4)
+    # MRU over a loop that mostly fits: overrules the kernel regrets.
+    service.directive(fool, "set_priority", {"path": "hot", "prio": 0})
+    service.directive(fool, "set_policy", {"prio": 0, "policy": "mru"})
+    codes = []
+    for rep in range(6):
+        for b in range(12):
+            service.read(fool, "hot", b)
+            service.read(other, "cold", (rep * 12 + b) % 40)
+            if b % 3 == 0:
+                service.write(other, "scratch", b // 3, whole=True)
+        for verb, params in (
+            ("set_policy", {"prio": 0, "policy": "bogus"}),
+            ("set_temppri", {"path": "hot", "start": 0, "end": 3, "prio": 1}),
+        ):
+            try:
+                service.directive(fool, verb, params)
+            except ServiceError as exc:
+                codes.append(exc.code)
+    service.flush_all()
+    assert "DIRECTIVE" in codes and "REVOKED" in codes
+    assert service.session_snapshot(fool)["revoked"]
+
+    nframes = int(CACHE_MB * 1024 * 1024) // 8192
+    reference = replay(recorder.events, nframes=nframes, revocation=revocation)
+    for pid in (fool, other):
+        entry = service.counters_for(pid).as_dict()
+        ref = reference.per_pid[pid]
+        assert (entry["accesses"], entry["hits"], entry["misses"]) == (
+            ref["accesses"], ref["hits"], ref["misses"]
+        ), pid
+        assert (entry["disk_reads"], entry["disk_writes"]) == (ref["reads"], ref["writes"]), pid
+    assert service.counters_for(other).disk_writes > 0
+    assert service.cache.occupancy() == reference.occupancy
 
 
 def test_replay_is_deterministic_for_a_fixed_trace():

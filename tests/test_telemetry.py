@@ -289,15 +289,16 @@ class TestSystemIntegration:
         assert "repro_cache_accesses_total" in result.telemetry["metrics"]
 
     def test_session_counters_view_round_trips(self):
-        from repro.server.stats import SessionCounters
+        from repro.server.stats import SessionCounters, session_collector
 
         reg = MetricsRegistry()
-        counters = SessionCounters(reg, pid=7)
+        counters = SessionCounters()
+        reg.register_collector(session_collector({7: counters}))
         counters.inc("accesses")
         counters.inc("hits")
-        counters.accesses += 1  # historical += form still works
+        counters.accesses += 1  # the engine's form
         assert counters.accesses == 2
         assert counters.hit_ratio == 0.5
-        assert reg.value("repro_session_accesses_total", pid=7) == 2
+        assert reg.value("repro_session_accesses_total", refresh=True, pid=7) == 2
         d = counters.as_dict()
         assert d["accesses"] == 2 and d["hits"] == 1 and d["block_ios"] == 0

@@ -80,6 +80,17 @@ class TestTable:
         assert _row(hi=1.0).admits(1.0)
         assert not _row(lo=Open(1.0), hi=Open(math.inf)).admits(1.0)
 
+    def test_experiments_cache_one_entry_however_arguments_are_passed(self):
+        """``repro-accfc all`` passes the default tuples while the claims
+        table calls with none: both must hit one cache entry.  (It runs
+        before the test below, which reuses the entry.)"""
+        from repro.harness.experiments import fig4_single_apps
+
+        fig4_single_apps.cache_clear()
+        fig4_single_apps(("din",), (1.0,))
+        fig4_single_apps(apps=("din",), cache_sizes=(1.0,))
+        assert fig4_single_apps.cache_info().misses == 1
+
     def test_row_evaluates_on_small_primed_experiment(self):
         """A structural row reads any grid, so a reduced Figure 4 run serves."""
         from repro.harness.experiments import fig4_single_apps
